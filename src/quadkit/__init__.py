@@ -1,13 +1,12 @@
 """quadkit: exact computer algebra and computational geometry for cyclic
 quadrilaterals, tilted kites and related four-point conditions."""
 
-from .poly import (GREVLEX, LEX, MonomialOrder, Polynomial, VarSet, det,
-                   poly_arith)
+from .poly import GREVLEX, LEX, MonomialOrder, Polynomial, VarSet, det
 from .groebner import (GroebnerBasis, GroebnerTimeout, buchberger,
                        divmod_multi, elimination_ideal, ideal_membership,
                        normal_form, radical_membership, s_polynomial)
-from .radicals import (RadicalValue, rad_arith, rad_sign, rad_sqrt,
-                       sqrt_rational, squarefree_decompose)
+from .radicals import (RadicalValue, rad_sqrt, sqrt_rational,
+                       squarefree_decompose)
 from .geometry import (DistSextuple, HullClass, Point, QuadConfig,
                        SignedAreas, cayley_menger, classify_hull,
                        cocircularity, config_from_obj, config_svg,

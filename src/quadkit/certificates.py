@@ -628,7 +628,6 @@ def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
     branch_bad = law_bad_ac = rt_bad = 0
     kite_law_holds = 0
     n_each = max(samples // 3, 1)
-    law = condition_poly("R_T")  # reused below through rational encodings
     for maker, kind in ((_parallelogram, "parallelogram"),
                         (_rhombus, "rhombus"),
                         (_symmetric_kite, "kite")):
@@ -675,7 +674,6 @@ def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
 
 def _frac_outside(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     """A random rational strictly outside [lo, hi]."""
-    width = hi - lo
     off = Fraction(rng.randint(1, 12), rng.randint(1, 4))
     return lo - off if rng.random() < 0.5 else hi + off
 
@@ -700,7 +698,6 @@ def cert_degenerate_cases(family: str, seed: int = 0,
     rng = random.Random(seed)
     checks = {"all_collinear": 0, "case2": 0, "case3": 0}
     bad = 0
-    notes_done = False
     for _ in range(samples):
         if family == "R":
             # scheme: D origin, B=(f,0); case 2: A,B,D collinear with b=c

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import conditions
@@ -138,6 +139,12 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    if not (math.isfinite(args.timeout) and args.timeout >= 0):
+        raise CliError("--timeout must be a finite number >= 0")
+    if args.jobs < 1:
+        raise CliError("--jobs must be >= 1")
+    if args.samples is not None and args.samples < 0:
+        raise CliError("--samples must be >= 0")
     conditions.run_self_check()
     claims = args.claims
     if not claims or claims == ["all"]:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import DistSextuple, cayley_menger
+from .geometry import DistSextuple, cayley_menger, equal_angle_witness
 from .poly import Polynomial, VarSet, det
 from .radicals import RadicalValue, rad_sqrt, sqrt_rational
 
@@ -171,7 +171,8 @@ def condition_sign(id: str, d: DistSextuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# radical-free witnesses (fast exact encodings of K = 0 and K_T = 0)
+# radical-free witnesses (fast exact encodings of K = 0 and, imported from
+# geometry, K_T = 0)
 # ---------------------------------------------------------------------------
 
 def supplementary_witness(d: DistSextuple) -> bool:
@@ -186,18 +187,6 @@ def supplementary_witness(d: DistSextuple) -> bool:
     if x == 0 and y == 0:
         return True
     return (x > 0 and y < 0) or (x < 0 and y > 0)
-
-
-def equal_angle_witness(d: DistSextuple) -> bool:
-    """cos(BAD) = cos(BCD) without radicals: qb*qc*(qf-qa-qd)^2 ==
-    qa*qd*(qf-qb-qc)^2 with matching signs.  Equivalent to K_T = 0."""
-    x = d.qf - d.qa - d.qd
-    y = d.qf - d.qb - d.qc
-    if d.qb * d.qc * x * x != d.qa * d.qd * y * y:
-        return False
-    if x == 0 and y == 0:
-        return True
-    return (x > 0) == (y > 0)
 
 
 # ---------------------------------------------------------------------------

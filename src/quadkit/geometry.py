@@ -25,9 +25,14 @@ class HullTableError(AssertionError):
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise GeometryError("float coordinates are not exact; pass p/q strings")
-    return Fraction(x)
+    """An exact rational from an int, a Fraction or a "p/q" string."""
+    if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
+        raise GeometryError(f"coordinate {x!r} is not exact; pass an int or "
+                            "a p/q string")
+    try:
+        return Fraction(x)
+    except (ZeroDivisionError, ValueError) as exc:
+        raise GeometryError(f"bad coordinate {x!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -335,14 +340,16 @@ def rt_condition_is_zero(d: DistSextuple) -> bool:
     return r0 >= 0 and r0 * r0 == 4 * g
 
 
-def equal_angles_at_A_and_C(d: DistSextuple) -> bool:
-    """cos(BAD) == cos(BCD) encoded rationally (the K_T = 0 witness)."""
-    qa, qb, qc, qd, qe, qf = d.as_tuple()
-    x = qf - qa - qd
-    y = qf - qb - qc
-    if qb * qc * x * x != qa * qd * y * y:
+def equal_angle_witness(d: DistSextuple) -> bool:
+    """cos(BAD) = cos(BCD) without radicals: qb*qc*(qf-qa-qd)^2 ==
+    qa*qd*(qf-qb-qc)^2 with matching signs.  Equivalent to K_T = 0."""
+    x = d.qf - d.qa - d.qd
+    y = d.qf - d.qb - d.qc
+    if d.qb * d.qc * x * x != d.qa * d.qd * y * y:
         return False
-    return (x == 0 and y == 0) or (x > 0) == (y > 0)
+    if x == 0 and y == 0:
+        return True
+    return (x > 0) == (y > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +508,7 @@ def gen_tilted_kite(seed_or_rng, convex: bool = True,
         if hull.kind != want:
             continue
         d = cfg.sextuple()
-        if not equal_angles_at_A_and_C(d):
+        if not equal_angle_witness(d):
             continue
         if not rt_condition_is_zero(d):
             continue  # cocircular draw: equal angles but not a tilted kite

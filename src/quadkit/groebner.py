@@ -1,9 +1,13 @@
 """Buchberger's algorithm with reduced Groebner bases, elimination ideals and
 ideal/radical membership tests.
 
-The engine works fraction-free: inside `buchberger` every polynomial is held
-with integer coefficients, content-stripped after each reduction, which keeps
-the rational blow-up of the 10+-variable certificate ideals in check.  All
+All reduction runs through one fraction-free kernel, `_reduce_int`: the
+polynomial being reduced is held with integer coefficients and
+content-stripped as it goes, which keeps the rational blow-up of the
+10+-variable certificate ideals in check.  Buchberger's S-pair reductions,
+the one-pass interreduction of the final basis and the public division
+(`divmod_multi`, `normal_form`) all call it; division recovers its exact
+rational remainder and quotients from the scale the kernel tracks.  All
 public results are exact `Fraction` polynomials (reduced bases are monic).
 """
 
@@ -31,7 +35,6 @@ class GroebnerBasis:
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = True
 
     def __iter__(self):
         return iter(self.generators)
@@ -55,8 +58,13 @@ def _negkey(k):
     return -k
 
 
+def _negkeyf(order: MonomialOrder):
+    keyf = order.key
+    return lambda m: _negkey(keyf(m))
+
+
 # ---------------------------------------------------------------------------
-# exact division (Fraction arithmetic) -- the public normal form
+# exact division -- the public normal form
 # ---------------------------------------------------------------------------
 
 def divmod_multi(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder
@@ -67,52 +75,22 @@ def divmod_multi(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder
     for g in G:
         if g.vars != f.vars:
             raise ValueError("variable-set mismatch in division")
-    divisors = [(g.leading_monomial(order), g.leading_coeff(order), g)
-                for g in G if not g.is_zero]
-    keyf = order.key
-    quotients = [Polynomial.zero(f.vars) for _ in G]
-    # positions of the nonzero divisors back in G
-    div_pos = [i for i, g in enumerate(G) if not g.is_zero]
-    r_terms: dict = {}
-    p = dict(f.terms)
-    heap = [(_negkey(keyf(m)), m) for m in p]
-    heapq.heapify(heap)
-    while heap:
-        _, m = heapq.heappop(heap)
-        c = p.get(m)
-        if not c:
-            continue
-        hit = -1
-        for idx, (lt, lc, g) in enumerate(divisors):
-            if mono_divides(lt, m):
-                hit = idx
-                break
-        if hit < 0:
-            r_terms[m] = c
-            del p[m]
-            continue
-        lt, lc, g = divisors[hit]
-        coef = c / lc
-        delta = mono_div(m, lt)
-        qi = quotients[div_pos[hit]]
-        qt = qi.terms.get(delta)
-        qi.terms[delta] = (qt + coef) if qt is not None else coef
-        for mg, cg in g.terms.items():
-            m2 = mono_mul(mg, delta)
-            v = p.get(m2)
-            if v is None:
-                nv = -coef * cg
-                if nv:
-                    p[m2] = nv
-                    heapq.heappush(heap, (_negkey(keyf(m2)), m2))
-            else:
-                nv = v - coef * cg
-                if nv:
-                    p[m2] = nv
-                else:
-                    del p[m2]
-    quotients = [Polynomial(f.vars, q.terms, _clean=False) for q in quotients]
-    return quotients, Polynomial(f.vars, r_terms, _clean=False)
+    where: dict = {}  # integer divisor -> (position in G, its factor)
+    for i, g in enumerate(G):
+        if not g.is_zero:
+            terms, gscale = _int_terms(g)
+            where[_Gen(terms, order.key)] = (i, gscale)
+    p, fscale = _int_terms(f)
+    steps: list = []
+    r, scale = _reduce_int(p, list(where), _negkeyf(order), steps=steps)
+    quotients: list[dict] = [{} for _ in G]
+    for gen, delta, cf, num, den in steps:
+        i, gscale = where[gen]
+        quotients[i][delta] = Fraction(cf * den, num) * gscale / fscale
+    rscale = 1 / (scale * fscale)
+    return ([Polynomial(f.vars, q, _clean=False) for q in quotients],
+            Polynomial(f.vars, {m: c * rscale for m, c in r.items()},
+                       _clean=False))
 
 
 def normal_form(f: Polynomial, G: Sequence[Polynomial],
@@ -138,7 +116,7 @@ def s_polynomial(f: Polynomial, g: Polynomial,
 # ---------------------------------------------------------------------------
 
 class _Gen:
-    """Basis element with integer coefficients, content-free."""
+    """Divisor with integer coefficients, content-free."""
 
     __slots__ = ("lt", "lc", "items")
 
@@ -148,25 +126,29 @@ class _Gen:
         self.items = tuple(terms.items())
 
 
-def _int_terms(p: Polynomial) -> dict:
-    """Clear denominators and strip content; sign is left as-is."""
+def _int_terms(p: Polynomial) -> tuple[dict, Fraction]:
+    """Clear denominators and strip content; sign is left as-is.  Returns
+    the integer terms and the factor they are p multiplied by."""
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
     out = {m: int(c * den) for m, c in p.terms.items()}
-    return _strip_content(out)
+    return out, Fraction(den, _strip(out))
 
 
-def _strip_content(terms: dict) -> dict:
+def _strip(*dicts: dict) -> int:
+    """Divide the dicts in place by the gcd of all their values; return it."""
     g = 0
-    for c in terms.values():
-        g = gcd(g, c)
-        if g == 1:
-            return terms
+    for d in dicts:
+        for v in d.values():
+            g = gcd(g, v)
+            if g == 1:
+                return 1
     if g > 1:
-        for m in terms:
-            terms[m] //= g
-    return terms
+        for d in dicts:
+            for k in d:
+                d[k] //= g
+    return g or 1
 
 
 def _check_deadline(deadline):
@@ -174,16 +156,26 @@ def _check_deadline(deadline):
         raise GroebnerTimeout("Groebner computation exceeded its time budget")
 
 
-def _reduce_int(p: dict, basis: list[_Gen], keyf, negkeyf,
-                deadline=None) -> dict:
-    """Full fraction-free reduction of p by the basis; returns a
-    content-stripped remainder (an integer multiple of the true normal form).
+def _reduce_int(p: dict, basis: list[_Gen], negkeyf, deadline=None,
+                steps: list | None = None) -> tuple[dict, Fraction]:
+    """Full reduction of the integer polynomial p by the basis, taking the
+    first listed divisor whose leading monomial divides the current term.
+
+    Returns (r, scale): r is content-stripped and r / scale is exactly the
+    remainder of division over Q.  Each step multiplies the working
+    polynomial by a positive integer instead of dividing by a leading
+    coefficient, so it stays a scalar multiple of the rational one with the
+    same support and takes the same steps.  The scalar is tracked as num/den.
+    If `steps` is a list, each step appends (divisor, delta, cf, num, den):
+    it subtracted cf * delta * divisor from the working polynomial, which is
+    the quotient term cf * den / num * delta in the rational division.
     """
     p = dict(p)
     out: dict = {}
     heap = [(negkeyf(m), m) for m in p]
     heapq.heapify(heap)
-    steps = 0
+    num = den = 1
+    n = 0
     while heap:
         _, m = heapq.heappop(heap)
         c = p.get(m)
@@ -208,7 +200,10 @@ def _reduce_int(p: dict, basis: list[_Gen], keyf, negkeyf,
                 p[k] *= mult
             for k in out:
                 out[k] *= mult
+            num *= mult
         delta = mono_div(m, red.lt)
+        if steps is not None:
+            steps.append((red, delta, cf, num, den))
         for mg, cg in red.items:
             m2 = mono_mul(mg, delta)
             v = p.get(m2)
@@ -223,27 +218,14 @@ def _reduce_int(p: dict, basis: list[_Gen], keyf, negkeyf,
                     p[m2] = nv
                 else:
                     del p[m2]
-        steps += 1
-        if steps & 0x3F == 0:
+        n += 1
+        if n & 0x3F == 0:
             _check_deadline(deadline)
-        if steps & 0x1FF == 0:
+        if n & 0x1FF == 0:
             # joint content strip bounds integer growth mid-reduction
-            g = 0
-            for v in p.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            else:
-                for v in out.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-            if g > 1:
-                for k in p:
-                    p[k] //= g
-                for k in out:
-                    out[k] //= g
-    return _strip_content(out)
+            den *= _strip(p, out)
+    den *= _strip(out)
+    return out, Fraction(num, den)
 
 
 def _spoly_int(a: _Gen, b: _Gen) -> dict:
@@ -294,7 +276,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
         deadline = time.monotonic() + timeout
 
     keyf = order.key
-    negkeyf = lambda m: _negkey(keyf(m))
+    negkeyf = _negkeyf(order)
     unit = GroebnerBasis((Polynomial.one(vars0),), order)
 
     basis: list[_Gen] = []
@@ -303,7 +285,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
             continue
         if g.is_constant():
             return unit
-        basis.append(_Gen(_int_terms(g), keyf))
+        basis.append(_Gen(_int_terms(g)[0], keyf))
     if not basis:
         return GroebnerBasis((), order)
 
@@ -342,8 +324,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
                     break
         if skip:
             continue
-        s = _spoly_int(gi, gj)
-        r = _reduce_int(s, basis, keyf, negkeyf, deadline)
+        r, _ = _reduce_int(_spoly_int(gi, gj), basis, negkeyf, deadline)
         if not r:
             continue
         if _is_const_terms(r):
@@ -356,32 +337,22 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
 
 def _reduce_basis(basis: list[_Gen], vars0: VarSet, order: MonomialOrder,
                   deadline=None) -> GroebnerBasis:
-    """Minimalize and tail-reduce, returning the unique reduced basis."""
+    """Minimalize and interreduce in one pass of increasing leading monomial,
+    returning the unique reduced basis.  One pass suffices: a tail monomial
+    m < lt(g) is only divisible by leading monomials <= m, and the elements
+    that own them are already reduced when g's turn comes."""
     keyf = order.key
-    # minimal: drop generators whose lt is divisible by another kept lt
-    by_lt = sorted(basis, key=lambda g: keyf(g.lt))
-    kept: list[_Gen] = []
-    for g in by_lt:
-        if not any(mono_divides(h.lt, g.lt) for h in kept):
-            kept.append(g)
-    polys = [Polynomial(vars0, {m: Fraction(c) for m, c in g.items},
-                        _clean=False).monic(order) for g in kept]
-    # tail-reduce to fixpoint (usually a single pass)
-    changed = True
-    while changed:
+    negkeyf = _negkeyf(order)
+    done: list[_Gen] = []
+    for g in sorted(basis, key=lambda g: keyf(g.lt)):
+        if any(mono_divides(h.lt, g.lt) for h in done):
+            continue  # not minimal
         _check_deadline(deadline)
-        changed = False
-        for idx in range(len(polys)):
-            others = polys[:idx] + polys[idx + 1:]
-            if not others:
-                continue
-            r = normal_form(polys[idx], others, order).monic(order)
-            if r != polys[idx]:
-                polys[idx] = r
-                changed = True
-        polys = [p for p in polys if not p.is_zero]
-    polys.sort(key=lambda p: keyf(p.leading_monomial(order)), reverse=True)
-    return GroebnerBasis(tuple(polys), order)
+        r, _ = _reduce_int(dict(g.items), done, negkeyf, deadline)
+        done.append(_Gen(r, keyf))
+    return GroebnerBasis(tuple(
+        Polynomial(vars0, {m: Fraction(c, g.lc) for m, c in g.items},
+                   _clean=False) for g in reversed(done)), order)
 
 
 # ---------------------------------------------------------------------------

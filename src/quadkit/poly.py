@@ -607,17 +607,6 @@ class _Parser:
         raise ValueError(f"unexpected token {val!r}")
 
 
-def poly_arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
-    """Exact add/sub/mul; p and q must share a VarSet."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
-
-
 def det(rows: Sequence[Sequence]) -> object:
     """Determinant by cofactor expansion; works over any commutative ring
     (Fraction entries, Polynomial entries, ...).  Intended for tiny matrices.

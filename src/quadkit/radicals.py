@@ -452,21 +452,6 @@ def sqrt_rational(q) -> RadicalValue:
     return RadicalValue({s: coeff}, _normalized=True)
 
 
-def rad_arith(x: RadicalValue, y: RadicalValue, op: str) -> RadicalValue:
-    """Exact add/sub/mul on radical values."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def rad_sign(x: RadicalValue) -> int:
-    return x.sign()
-
-
 def rad_sqrt(x: RadicalValue) -> RadicalValue:
     """Square root of a nonnegative radical value, when it stays inside a
     square-root tower: rationals always work, and single-radicand values

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quadkit import certificates
 from quadkit.cli import main
 
@@ -146,3 +148,22 @@ def test_render_svg(tmp_path, capsys):
 def test_usage_error_is_input_error(capsys):
     assert main(["classify"]) == 1
     assert main(["not-a-command"]) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    dict(SQUARE, C=["1/0", "1"]), dict(SQUARE, C=[True, "1"]),
+    dict(SQUARE, C=[None, "1"]), dict(SQUARE, C=[[1, 2], "1"]),
+    dict(FOLDED_RECT_SEXT, qf="49/0")])
+def test_classify_rejects_bad_coordinate(tmp_path, capsys, bad):
+    assert main(["classify", _write(tmp_path, bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--timeout", "-1"], ["--timeout", "inf"],
+                                   ["--timeout", "nan"], ["--jobs", "0"],
+                                   ["--samples", "-1"]])
+def test_prove_rejects_bad_budget(capsys, flags):
+    assert main(["prove", "converse_ptolemy", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

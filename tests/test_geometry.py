@@ -8,7 +8,7 @@ import pytest
 from quadkit.geometry import (DistSextuple, GeometryError, Point, QuadConfig,
                               cayley_menger, classify_hull, cocircularity,
                               config_from_obj, config_svg, config_to_obj,
-                              equal_angles_at_A_and_C, gen_collinear_inorder,
+                              equal_angle_witness, gen_collinear_inorder,
                               gen_cyclic, gen_folded, gen_reflected,
                               gen_tilted_kite, midpoint_distances,
                               r_condition_is_zero, random_quad, reflect_over_line,
@@ -226,7 +226,7 @@ def test_gen_tilted_kite_hull_kinds():
         cv = gen_tilted_kite(seed, convex=True)
         assert classify_hull(cv).is_convex
         d = cv.sextuple()
-        assert rt_condition_is_zero(d) and equal_angles_at_A_and_C(d)
+        assert rt_condition_is_zero(d) and equal_angle_witness(d)
         cc = gen_tilted_kite(seed, convex=False)
         h = classify_hull(cc)
         assert h.kind == "concave3"

@@ -6,7 +6,7 @@ import pytest
 from quadkit.groebner import (GroebnerTimeout, buchberger, divmod_multi,
                               elimination_ideal, ideal_membership,
                               normal_form, radical_membership, s_polynomial)
-from quadkit.poly import GREVLEX, LEX, Polynomial, VarSet
+from quadkit.poly import GREVLEX, LEX, MonomialOrder, Polynomial, VarSet
 
 XY = VarSet(("x", "y"))
 XYZ = VarSet(("x", "y", "z"))
@@ -25,22 +25,26 @@ def test_normal_form_textbook():
 
 
 def test_division_certificate_reexpands():
+    # rational f; non-monic divisors with non-unit content exercise the
+    # kernel's scale and quotient bookkeeping
     rng = random.Random(11)
-    G = [_p("x^2 - y"), _p("x*y - 1")]
-    for _ in range(25):
-        terms = {(rng.randint(0, 4), rng.randint(0, 4)):
-                 Fraction(rng.randint(-5, 5)) for _ in range(5)}
-        f = Polynomial(XY, terms)
-        qs, r = divmod_multi(f, G, GREVLEX)
-        rebuilt = r
-        for q, g in zip(qs, G):
-            rebuilt = rebuilt + q * g
-        assert rebuilt == f
-        # no monomial of r is divisible by a leading term of G
-        for mono in r.terms:
-            for g in G:
-                lt = g.leading_monomial(GREVLEX)
-                assert not all(a <= b for a, b in zip(lt, mono))
+    G = [_p("2*x^2 - 4*y"), _p("x*y - 1"), _p("1/3*y - 1"), _p("6*x - 9/2")]
+    for order in (LEX, GREVLEX, MonomialOrder.block_elimination(1)):
+        for _ in range(25):
+            terms = {(rng.randint(0, 4), rng.randint(0, 4)):
+                     Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+                     for _ in range(5)}
+            f = Polynomial(XY, terms)
+            qs, r = divmod_multi(f, G, order)
+            rebuilt = r
+            for q, g in zip(qs, G):
+                rebuilt = rebuilt + q * g
+            assert rebuilt == f
+            # no monomial of r is divisible by a leading term of G
+            for mono in r.terms:
+                for g in G:
+                    lt = g.leading_monomial(order)
+                    assert not all(a <= b for a, b in zip(lt, mono))
 
 
 def test_normal_form_deterministic_in_sequence():
@@ -101,14 +105,25 @@ def test_spolys_of_basis_reduce_to_zero():
 
 
 def test_reduced_basis_unique_under_shuffles():
-    gens = [Polynomial.parse(t, XYZ) for t in
-            ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")]
-    baseline = buchberger(gens, GREVLEX).texts()
     rng = random.Random(3)
-    for _ in range(6):
-        shuffled = gens[:]
-        rng.shuffle(shuffled)
-        assert buchberger(shuffled, GREVLEX).texts() == baseline
+    for texts in (("x + y + z", "x*y + y*z + z*x", "x*y*z - 1"),
+                  ("x^2 + y - z", "x*z - y^2", "y^3 - x")):
+        gens = [Polynomial.parse(t, XYZ) for t in texts]
+        for order in (GREVLEX, LEX):
+            gb = buchberger(gens, order)
+            for _ in range(6):
+                shuffled = gens[:]
+                rng.shuffle(shuffled)
+                assert buchberger(shuffled, order).texts() == gb.texts()
+            # reduced: monic, and no monomial of any generator is divisible
+            # by the leading monomial of another
+            lts = [g.leading_monomial(order) for g in gb]
+            for i, g in enumerate(gb):
+                assert g.leading_coeff(order) == 1
+                for mono in g.terms:
+                    for j, lt in enumerate(lts):
+                        if j != i:
+                            assert not all(a <= b for a, b in zip(lt, mono))
 
 
 def test_original_generators_reduce_to_zero():
