@@ -7,8 +7,11 @@ content-stripped as it goes, which keeps the rational blow-up of the
 10+-variable certificate ideals in check.  Buchberger's S-pair reductions,
 the one-pass interreduction of the final basis and the public division
 (`divmod_multi`, `normal_form`) all call it; division recovers its exact
-rational remainder and quotients from the scale the kernel tracks.  All
-public results are exact `Fraction` polynomials (reduced bases are monic).
+rational remainder and quotients from the scale the kernel tracks.  Inside
+the kernel a monomial is one int (see `_Packing`): product and quotient are
+`+` and `-`, the order is int `<`, the constant monomial is 0 and
+divisibility is one mask test.  All public results are exact `Fraction`
+polynomials over exponent tuples (reduced bases are monic).
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Collection, Sequence
 
+# all four mono_* stay bound here: the benchmark tracer wraps them
 from .poly import (GREVLEX, MonomialOrder, Polynomial, VarSet, mono_div,
                    mono_divides, mono_lcm, mono_mul)
 
@@ -52,17 +57,6 @@ class GroebnerBasis:
         return [g.to_text(self.order) for g in self.generators]
 
 
-def _negkey(k):
-    if isinstance(k, tuple):
-        return tuple(_negkey(x) for x in k)
-    return -k
-
-
-def _negkeyf(order: MonomialOrder):
-    keyf = order.key
-    return lambda m: _negkey(keyf(m))
-
-
 # ---------------------------------------------------------------------------
 # exact division -- the public normal form
 # ---------------------------------------------------------------------------
@@ -75,22 +69,26 @@ def divmod_multi(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder
     for g in G:
         if g.vars != f.vars:
             raise ValueError("variable-set mismatch in division")
-    where: dict = {}  # integer divisor -> (position in G, its factor)
-    for i, g in enumerate(G):
-        if not g.is_zero:
-            terms, gscale = _int_terms(g)
-            where[_Gen(terms, order.key)] = (i, gscale)
-    p, fscale = _int_terms(f)
-    steps: list = []
-    r, scale = _reduce_int(p, list(where), _negkeyf(order), steps=steps)
-    quotients: list[dict] = [{} for _ in G]
-    for gen, delta, cf, num, den in steps:
-        i, gscale = where[gen]
-        quotients[i][delta] = Fraction(cf * den, num) * gscale / fscale
-    rscale = 1 / (scale * fscale)
-    return ([Polynomial(f.vars, q, _clean=False) for q in quotients],
-            Polynomial(f.vars, {m: c * rscale for m, c in r.items()},
-                       _clean=False))
+    def run(pk: _Packing):
+        where: dict = {}  # integer divisor -> (position in G, its factor)
+        for i, g in enumerate(G):
+            if not g.is_zero:
+                terms, gscale = _int_terms(g, pk)
+                where[_Gen(terms, pk)] = (i, gscale)
+        p, fscale = _int_terms(f, pk)
+        steps: list = []
+        r, scale = _reduce_int(p, list(where), pk, steps=steps)
+        quotients: list[dict] = [{} for _ in G]
+        for gen, delta, cf, num, den in steps:
+            i, gscale = where[gen]
+            quotients[i][pk.unpack(delta)] = (Fraction(cf * den, num)
+                                              * gscale / fscale)
+        rscale = 1 / (scale * fscale)
+        return ([Polynomial(f.vars, q, _clean=False) for q in quotients],
+                Polynomial(f.vars, {pk.unpack(m): c * rscale
+                                    for m, c in r.items()}, _clean=False))
+
+    return _packed(run, order, len(f.vars))
 
 
 def normal_form(f: Polynomial, G: Sequence[Polynomial],
@@ -112,27 +110,84 @@ def s_polynomial(f: Polynomial, g: Polynomial,
 
 
 # ---------------------------------------------------------------------------
-# fraction-free internals
+# packed monomials and fraction-free internals
 # ---------------------------------------------------------------------------
 
+class _Overflow(Exception):
+    """A packed field reached its guard bit."""
+
+
+class _Packing:
+    """Exponent tuples of one order and arity packed into single ints.
+
+    Fields are `w` bits wide; the top bit of each is a guard, clear in a
+    valid monomial.  Field i < n holds the exponent of variable i.  Above
+    them, most significant first, sit the order's key fields (lex: e1..en;
+    grlex: deg, e1..en; grevlex: the prefix sums deg, deg - en, ..., e1;
+    block: the grevlex fields of each block).  All fields are additive, so
+    `+` multiplies while no field reaches its guard, and `<` is the order.
+    Every reduction step and S-polynomial checks the guards of its largest
+    product; on overflow the computation restarts at double the width.
+    """
+
+    def __init__(self, order: MonomialOrder, n: int, w: int):
+        s = order.split or n  # grevlex is block order with one block
+        rev = lambda m: tuple(accumulate(m))[::-1]  # grevlex fields
+        self.key = {"lex": lambda m: m, "grlex": lambda m: (sum(m),) + m}.get(
+            order.kind, lambda m: rev(m[:s]) + rev(m[s:]))
+        self.n, self.w = n, w
+        self.nf = n + len(self.key((0,) * n))
+        self.mask = (1 << w) - 1
+        self.cap = 1 << (w - 1)
+        self.dguard = sum(self.cap << (i * w) for i in range(n))
+        self.guard = sum(self.cap << (i * w) for i in range(self.nf))
+
+    def pack(self, m: tuple) -> int:
+        fields = m + self.key(m)[::-1]
+        if max(fields) >= self.cap:
+            raise _Overflow
+        return sum(v << (i * self.w) for i, v in enumerate(fields))
+
+    def unpack(self, x: int) -> tuple:
+        w, mask = self.w, self.mask
+        return tuple((x >> (i * w)) & mask for i in range(self.n))
+
+    def top(self, monos) -> int:
+        """Fieldwise maximum: top + d bounds every product m + d."""
+        w, mask = self.w, self.mask
+        return sum(max((m >> (i * w)) & mask for m in monos) << (i * w)
+                   for i in range(self.nf))
+
+
+def _packed(run, order: MonomialOrder, n: int):
+    """run(packing), restarted at double the field width on overflow."""
+    w = 16
+    while True:
+        try:
+            return run(_Packing(order, n, w))
+        except _Overflow:
+            w *= 2
+
+
 class _Gen:
-    """Divisor with integer coefficients, content-free."""
+    """Divisor with integer coefficients, content-free, packed monomials."""
 
-    __slots__ = ("lt", "lc", "items")
+    __slots__ = ("lt", "lc", "items", "top")
 
-    def __init__(self, terms: dict, keyf):
-        self.lt = max(terms, key=keyf)
+    def __init__(self, terms: dict, pk: _Packing):
+        self.lt = max(terms)
         self.lc = terms[self.lt]
         self.items = tuple(terms.items())
+        self.top = pk.top(terms)
 
 
-def _int_terms(p: Polynomial) -> tuple[dict, Fraction]:
-    """Clear denominators and strip content; sign is left as-is.  Returns
-    the integer terms and the factor they are p multiplied by."""
+def _int_terms(p: Polynomial, pk: _Packing) -> tuple[dict, Fraction]:
+    """Clear denominators, strip content and pack; sign is left as-is.
+    Returns the integer terms and the factor they are p multiplied by."""
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    out = {m: int(c * den) for m, c in p.terms.items()}
+    out = {pk.pack(m): int(c * den) for m, c in p.terms.items()}
     return out, Fraction(den, _strip(out))
 
 
@@ -156,7 +211,7 @@ def _check_deadline(deadline):
         raise GroebnerTimeout("Groebner computation exceeded its time budget")
 
 
-def _reduce_int(p: dict, basis: list[_Gen], negkeyf, deadline=None,
+def _reduce_int(p: dict, basis: list[_Gen], pk: _Packing, deadline=None,
                 steps: list | None = None) -> tuple[dict, Fraction]:
     """Full reduction of the integer polynomial p by the basis, taking the
     first listed divisor whose leading monomial divides the current term.
@@ -172,46 +227,50 @@ def _reduce_int(p: dict, basis: list[_Gen], negkeyf, deadline=None,
     """
     p = dict(p)
     out: dict = {}
-    heap = [(negkeyf(m), m) for m in p]
+    heap = [-m for m in p]  # max-heap of packed monomials
     heapq.heapify(heap)
+    guard, dguard = pk.guard, pk.dguard
     num = den = 1
     n = 0
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         c = p.get(m)
         if not c:
             continue
         red = None
+        md = m | dguard
         for g in basis:
-            if mono_divides(g.lt, m):
+            if (md - g.lt) & dguard == dguard:
                 red = g
                 break
         if red is None:
             out[m] = c
             del p[m]
             continue
+        delta = m - red.lt
+        if (red.top + delta) & guard:
+            raise _Overflow
         g0 = gcd(red.lc, c)
         mult = red.lc // g0
         cf = c // g0
+        if mult < 0:
+            mult, cf = -mult, -cf
         if mult != 1:
-            if mult < 0:
-                mult, cf = -mult, -cf
             for k in p:
                 p[k] *= mult
             for k in out:
                 out[k] *= mult
             num *= mult
-        delta = mono_div(m, red.lt)
         if steps is not None:
             steps.append((red, delta, cf, num, den))
         for mg, cg in red.items:
-            m2 = mono_mul(mg, delta)
+            m2 = mg + delta
             v = p.get(m2)
             if v is None:
                 nv = -cf * cg
                 if nv:
                     p[m2] = nv
-                    heapq.heappush(heap, (negkeyf(m2), m2))
+                    heapq.heappush(heap, -m2)
             else:
                 nv = v - cf * cg
                 if nv:
@@ -228,18 +287,20 @@ def _reduce_int(p: dict, basis: list[_Gen], negkeyf, deadline=None,
     return out, Fraction(num, den)
 
 
-def _spoly_int(a: _Gen, b: _Gen) -> dict:
-    L = mono_lcm(a.lt, b.lt)
+def _spoly_int(a: _Gen, b: _Gen, L: int, guard: int) -> dict:
+    """S-polynomial of a and b, whose leading monomials have lcm L."""
     g0 = gcd(a.lc, b.lc)
     ca = b.lc // g0
     cb = a.lc // g0
-    da = mono_div(L, a.lt)
-    db = mono_div(L, b.lt)
+    da = L - a.lt
+    db = L - b.lt
+    if (a.top + da) & guard or (b.top + db) & guard:
+        raise _Overflow
     terms: dict = {}
     for m, c in a.items:
-        terms[mono_mul(m, da)] = ca * c
+        terms[m + da] = ca * c
     for m, c in b.items:
-        m2 = mono_mul(m, db)
+        m2 = m + db
         v = terms.get(m2)
         nv = (v - cb * c) if v is not None else -cb * c
         if nv:
@@ -247,10 +308,6 @@ def _spoly_int(a: _Gen, b: _Gen) -> dict:
         elif v is not None:
             del terms[m2]
     return terms
-
-
-def _is_const_terms(terms: dict) -> bool:
-    return len(terms) == 1 and not any(next(iter(terms)))
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -274,29 +331,28 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
             raise ValueError("variable-set mismatch among generators")
     if timeout is not None:
         deadline = time.monotonic() + timeout
-
-    keyf = order.key
-    negkeyf = _negkeyf(order)
-    unit = GroebnerBasis((Polynomial.one(vars0),), order)
-
-    basis: list[_Gen] = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        if g.is_constant():
-            return unit
-        basis.append(_Gen(_int_terms(g)[0], keyf))
-    if not basis:
+    live = [g for g in gens if not g.is_zero]
+    if any(g.is_constant() for g in live):
+        return GroebnerBasis((Polynomial.one(vars0),), order)
+    if not live:
         return GroebnerBasis((), order)
+    return _packed(lambda pk: _buchberger(live, vars0, order, pk, deadline),
+                   order, len(vars0))
 
+
+def _buchberger(gens: list[Polynomial], vars0: VarSet, order: MonomialOrder,
+                pk: _Packing, deadline) -> GroebnerBasis:
+    """The pair loop of `buchberger` at one packing."""
+    basis = [_Gen(_int_terms(g, pk)[0], pk) for g in gens]
+    guard, dguard = pk.guard, pk.dguard
     pairs: list = []
     pending: set[tuple[int, int]] = set()
 
     def push_pairs(t: int) -> None:
-        lt_t = basis[t].lt
+        lt_t = pk.unpack(basis[t].lt)
         for i in range(t):
-            L = mono_lcm(basis[i].lt, lt_t)
-            heapq.heappush(pairs, (keyf(L), i, t))
+            L = tuple(map(max, pk.unpack(basis[i].lt), lt_t))
+            heapq.heappush(pairs, (pk.pack(L), i, t))
             pending.add((i, t))
 
     for t in range(1, len(basis)):
@@ -304,19 +360,19 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
 
     while pairs:
         _check_deadline(deadline)
-        _, i, j = heapq.heappop(pairs)
+        L, i, j = heapq.heappop(pairs)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
         gi, gj = basis[i], basis[j]
-        L = mono_lcm(gi.lt, gj.lt)
-        if L == mono_mul(gi.lt, gj.lt):
+        if L == gi.lt + gj.lt:
             continue  # product criterion: disjoint leading terms
         skip = False
+        Ld = L | dguard
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if mono_divides(basis[k].lt, L):
+            if (Ld - basis[k].lt) & dguard == dguard:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -324,34 +380,35 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
                     break
         if skip:
             continue
-        r, _ = _reduce_int(_spoly_int(gi, gj), basis, negkeyf, deadline)
+        r, _ = _reduce_int(_spoly_int(gi, gj, L, guard), basis, pk, deadline)
         if not r:
             continue
-        if _is_const_terms(r):
-            return unit
-        basis.append(_Gen(r, keyf))
+        g = _Gen(r, pk)
+        if g.lt == 0:
+            return GroebnerBasis((Polynomial.one(vars0),), order)
+        basis.append(g)
         push_pairs(len(basis) - 1)
 
-    return _reduce_basis(basis, vars0, order, deadline)
+    return _reduce_basis(basis, vars0, order, pk, deadline)
 
 
 def _reduce_basis(basis: list[_Gen], vars0: VarSet, order: MonomialOrder,
-                  deadline=None) -> GroebnerBasis:
+                  pk: _Packing, deadline=None) -> GroebnerBasis:
     """Minimalize and interreduce in one pass of increasing leading monomial,
     returning the unique reduced basis.  One pass suffices: a tail monomial
     m < lt(g) is only divisible by leading monomials <= m, and the elements
     that own them are already reduced when g's turn comes."""
-    keyf = order.key
-    negkeyf = _negkeyf(order)
     done: list[_Gen] = []
-    for g in sorted(basis, key=lambda g: keyf(g.lt)):
-        if any(mono_divides(h.lt, g.lt) for h in done):
+    for g in sorted(basis, key=lambda g: g.lt):
+        ld = g.lt | pk.dguard
+        if any((ld - h.lt) & pk.dguard == pk.dguard for h in done):
             continue  # not minimal
         _check_deadline(deadline)
-        r, _ = _reduce_int(dict(g.items), done, negkeyf, deadline)
-        done.append(_Gen(r, keyf))
+        r, _ = _reduce_int(dict(g.items), done, pk, deadline)
+        done.append(_Gen(r, pk))
     return GroebnerBasis(tuple(
-        Polynomial(vars0, {m: Fraction(c, g.lc) for m, c in g.items},
+        Polynomial(vars0, {pk.unpack(m): Fraction(c, g.lc)
+                           for m, c in g.items},
                    _clean=False) for g in reversed(done)), order)
 
 

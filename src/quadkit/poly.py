@@ -2,7 +2,9 @@
 
 Coefficients are `fractions.Fraction` throughout; nothing in this module ever
 rounds.  Monomials are bare exponent tuples (one entry per variable of the
-owning `VarSet`), which keeps dict-based arithmetic fast and hashable.
+owning `VarSet`) in every public interface, which keeps dict-based
+arithmetic fast and hashable; only the Groebner kernel packs them into
+single ints internally (see `groebner`).
 """
 
 from __future__ import annotations
@@ -85,9 +87,6 @@ def mono_divides(m1: Mono, m2: Mono) -> bool:
 
 def mono_lcm(m1: Mono, m2: Mono) -> Mono:
     return tuple(a if a > b else b for a, b in zip(m1, m2))
-
-def mono_degree(m: Mono) -> int:
-    return sum(m)
 
 
 def _grevlex_key(m: Mono):

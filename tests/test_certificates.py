@@ -68,6 +68,21 @@ def test_elimination_certificates_radical_route():
         assert cert.tier2["mismatches"] == 0
 
 
+def test_literal_elimination_is_opt_in():
+    # skipped by default, with the reason recorded; a positive budget tries
+    # it first (it times out here) and the radical route still certifies
+    cert = cert_elimination_formula("dABD_T", seed=2, timeout=60, samples=5)
+    assert cert.status == CERTIFIED
+    assert "literal elimination skipped" in cert.tier1["note"]
+    assert "elimination_attempt_ms" not in cert.tier1
+    cert = cert_elimination_formula("dABD_T", seed=2, timeout=60, samples=5,
+                                    literal_budget=0.3)
+    assert cert.status == CERTIFIED, cert.tier1
+    assert cert.tier1["method"] == "radical-membership"
+    assert 250 <= cert.tier1["elimination_attempt_ms"] < 2000
+    assert "note" not in cert.tier1
+
+
 def test_all_elimination_targets_certify_symbolically():
     # the full sweep: every closed form is proven on the variety, not just
     # sampled (radical route; the literal elimination attempt is skipped)

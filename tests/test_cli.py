@@ -167,3 +167,16 @@ def test_prove_rejects_bad_budget(capsys, flags):
     assert main(["prove", "converse_ptolemy", *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_prove_tier1_respects_timeout(capsys):
+    # every tier-1 attempt together stays within --timeout (plus slack for
+    # the deadline checks), with no floor on the radical-membership slice
+    rc = main(["prove", "elim_dABD_R", "--timeout", "0.2", "--samples", "0",
+               "--format", "json"])
+    assert rc == 0
+    tier1 = json.loads(capsys.readouterr().out)[0]["tier1"]
+    spent = sum(tier1.get(k, 0) for k in (
+        "elapsed_ms", "elimination_attempt_ms", "radical_attempt_ms"))
+    assert spent < 500, tier1
+    assert "literal elimination skipped" in tier1["note"]
