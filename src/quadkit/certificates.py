@@ -813,6 +813,48 @@ def cert_degenerate_cases(family: str, seed: int = 0,
 # reflection theorem
 # ---------------------------------------------------------------------------
 
+def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
+    """A tilted kite of the requested hull kind drawn without the reflection
+    construction, so the reverse direction below does not merely check that
+    a reflection undoes itself.  A = 0 and C on the positive x-axis each send
+    a ray pair with one rational opening angle; B and D are where the lines
+    meet.  A draw counts when B and D lie on the same side of A along A's
+    lines, and of C along C's: reversing both rays at a vertex keeps the angle
+    between them.  The exact equal-angle and R_T filters then reject the
+    cyclic draws."""
+    want = "convex4" if convex else "concave3"
+    A = Point(Fraction(0), Fraction(0))
+    while True:
+        turn = geometry.unit_circle_point(Fraction(rng.randint(1, 30),
+                                                   rng.randint(1, 30)))
+        cx = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        pairs = []
+        for _ in range(2):  # the ray pair at A, then at C
+            u = geometry.unit_circle_point(Fraction(rng.randint(-40, 40),
+                                                    rng.randint(1, 12)))
+            v = Point(turn.x * u.x - turn.y * u.y, turn.y * u.x + turn.x * u.y)
+            pairs.append((u, v) if rng.random() < 0.5 else (v, u))
+        meets = []
+        for a, c in zip(*pairs):  # lines towards B, then towards D
+            den = c.x * a.y - a.x * c.y
+            if den == 0:
+                break
+            # s*a == (cx, 0) + t*c
+            s, t = -cx * c.y / den, -cx * a.y / den
+            meets.append((s, t, Point(s * a.x, s * a.y)))
+        if len(meets) < 2:
+            continue
+        (sb, tb, B), (sd, td, D) = meets
+        if sb * sd <= 0 or tb * td <= 0:
+            continue
+        cfg = QuadConfig(A, B, Point(cx, Fraction(0)), D)
+        if not cfg.distinct() or classify_hull(cfg).kind != want:
+            continue
+        d = cfg.sextuple()
+        if equal_angle_witness(d) and geometry.rt_condition_is_zero(d):
+            return cfg
+
+
 def cert_reflection_theorem(seed: int = 0, samples: int = 500) -> Certificate:
     """Reflecting C across line BD swaps the tilted-kite condition with
     cocircularity: R_T(reflected) = 0 iff P_T * Q_T = 0."""
@@ -836,7 +878,7 @@ def cert_reflection_theorem(seed: int = 0, samples: int = 500) -> Certificate:
         elif not eval_condition("R_T", refl.sextuple()).is_zero:
             fwd_bad += 1
     while done_rev < samples:
-        cfg = gen_tilted_kite(rng, convex=bool(rng.random() < 0.5))
+        cfg = _ray_kite(rng, convex=bool(rng.random() < 0.5))
         refl = reflect_over_line(cfg, "C", ("B", "D"))
         if not refl.distinct():
             continue

@@ -2,9 +2,12 @@
 
 Signed areas, the sign-table hull classifier, Cayley-Menger and cocircularity
 determinants, midpoint-distance identities, reflections, and seeded generators
-for the configuration families (cyclic, folded, tilted kite, reflected).
-Everything is Fraction arithmetic; generators only ever emit rational points,
-so downstream tests are exact.
+for the configuration families (cyclic, folded, tilted kite, reflected).  The
+generators are constructive: rational points on the unit circle, reflected
+across a diagonal where the family asks for it (a folded quadrilateral folds
+D over AC; a tilted kite reflects C of a cyclic ACBD or ACDB configuration
+over BD).  Everything is Fraction arithmetic; generators only ever emit
+rational points, so downstream tests are exact.
 """
 
 from __future__ import annotations
@@ -430,91 +433,43 @@ def gen_folded(seed_or_rng) -> QuadConfig:
             return folded
 
 
+def _reflected_cyclic(rng: random.Random, order: str) -> QuadConfig:
+    """A cyclic configuration in order ACBD or ACDB with C reflected across BD.
+
+    A and C lie on the same arc cut off by BD, so the angles at A and C are
+    equal and C's mirror image lands on A's far side of BD (so the four points
+    stay distinct); by the reflection theorem the result satisfies the
+    tilted-kite condition R_T = 0 exactly."""
+    refl = reflect_over_line(gen_cyclic(rng, order), "C", ("B", "D"))
+    if not rt_condition_is_zero(refl.sextuple()):
+        raise GeometryError(f"reflected cyclic {order} configuration has "
+                            "R_T != 0")
+    return refl
+
+
 def gen_reflected(seed_or_rng) -> QuadConfig:
     """Cyclic quadrilateral in order ACBD with C reflected across BD: the
     reflection family, satisfying the tilted-kite condition exactly."""
     rng = _rng(seed_or_rng)
     while True:
-        cfg = gen_cyclic(rng, "ACBD")
-        refl = reflect_over_line(cfg, "C", ("B", "D"))
-        if not refl.distinct():
-            continue
-        if classify_hull(refl).kind.startswith("collinear"):
-            continue
-        if rt_condition_is_zero(refl.sextuple()):
+        refl = _reflected_cyclic(rng, "ACBD")
+        if not classify_hull(refl).kind.startswith("collinear"):
             return refl
 
 
-def _rational_dir(rng: random.Random) -> tuple[Fraction, Fraction]:
-    t = _rand_fraction(rng, -40, 40, 12)
-    den = 1 + t * t
-    return (1 - t * t) / den, 2 * t / den
-
-
-def _rotate(v: tuple[Fraction, Fraction], ca: Fraction, sa: Fraction
-            ) -> tuple[Fraction, Fraction]:
-    return (ca * v[0] - sa * v[1], sa * v[0] + ca * v[1])
-
-
-def _ray_intersection(p: Point, u, q: Point, v):
-    """s, t with p + s*u == q + t*v, or None if the rays are parallel."""
-    den = u[0] * (-v[1]) - (-v[0]) * u[1]
-    if den == 0:
-        return None
-    rx, ry = q.x - p.x, q.y - p.y
-    s = (rx * (-v[1]) - (-v[0]) * ry) / den
-    t = (u[0] * ry - rx * u[1]) / den
-    return s, t
-
-
-def gen_tilted_kite(seed_or_rng, convex: bool = True,
-                    max_tries: int = 5000) -> QuadConfig:
-    """Quadrilateral with equal angles at A and C, built from rational-slope
-    rays: place A and C, emit a ray pair with the same rational opening angle
-    at each, and take B and D as the pairwise ray intersections.  Rejects and
-    retries until the points are distinct, nondegenerate, exactly satisfy the
-    equal-angle and tilted-kite conditions, and match the requested hull kind.
+def gen_tilted_kite(seed_or_rng, convex: bool = True) -> QuadConfig:
+    """Tilted kite (R_T = 0, equal angles at A and C) of the requested hull
+    kind, built by the reflection theorem: a cyclic configuration in order
+    ACBD or ACDB (chosen at random) with C reflected across BD.  A and the
+    moved C lie on opposite sides of BD, so the hull is convex ABCD or a
+    triangle with B or D interior; draws of the other kind are redrawn.
     """
     rng = _rng(seed_or_rng)
     want = "convex4" if convex else "concave3"
-    for _ in range(max_tries):
-        t_alpha = Fraction(rng.randint(1, 30), rng.randint(1, 30))
-        den = 1 + t_alpha * t_alpha
-        ca, sa = (1 - t_alpha * t_alpha) / den, 2 * t_alpha / den
-        A = Point(Fraction(0), Fraction(0))
-        C = Point(_rand_fraction(rng, 1, 8, 4), Fraction(0))
-        dirA = _rational_dir(rng)
-        dirC = _rational_dir(rng)
-        if rng.random() < 0.5:
-            rayAB, rayAD = dirA, _rotate(dirA, ca, sa)
-        else:
-            rayAB, rayAD = _rotate(dirA, ca, sa), dirA
-        if rng.random() < 0.5:
-            rayCB, rayCD = dirC, _rotate(dirC, ca, sa)
-        else:
-            rayCB, rayCD = _rotate(dirC, ca, sa), dirC
-        ib = _ray_intersection(A, rayAB, C, rayCB)
-        idd = _ray_intersection(A, rayAD, C, rayCD)
-        if ib is None or idd is None:
-            continue
-        if ib[0] <= 0 or ib[1] <= 0 or idd[0] <= 0 or idd[1] <= 0:
-            continue
-        B = Point(A.x + ib[0] * rayAB[0], A.y + ib[0] * rayAB[1])
-        D = Point(A.x + idd[0] * rayAD[0], A.y + idd[0] * rayAD[1])
-        cfg = QuadConfig(A, B, C, D)
-        if not cfg.distinct():
-            continue
-        hull = classify_hull(cfg)
-        if hull.kind != want:
-            continue
-        d = cfg.sextuple()
-        if not equal_angle_witness(d):
-            continue
-        if not rt_condition_is_zero(d):
-            continue  # cocircular draw: equal angles but not a tilted kite
-        return cfg
-    raise GeometryError(
-        f"no {want} tilted kite found in {max_tries} tries")  # pragma: no cover
+    while True:
+        kite = _reflected_cyclic(rng, rng.choice(("ACBD", "ACDB")))
+        if classify_hull(kite).kind == want:
+            return kite
 
 
 def random_quad(seed_or_rng, span: int = 40, max_den: int = 4) -> QuadConfig:

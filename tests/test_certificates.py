@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quadkit import certificates
 from quadkit.certificates import (CERTIFIED, CLAIMS, SUPPORTED, TIER2_ONLY,
                                   cert_converse_ptolemy, cert_degenerate_cases,
                                   cert_elimination_formula, cert_hull_tables,
@@ -156,6 +157,20 @@ def test_reflection_theorem_supported():
     assert cert.status == SUPPORTED
     for part in cert.tier2.values():
         assert part["violations"] == 0
+
+
+def test_reflection_reverse_direction_uses_independent_kites(monkeypatch):
+    # kites made by reflecting cyclic configurations would only test that a
+    # reflection undoes itself, so the kite -> P_T*Q_T = 0 direction must
+    # not draw from gen_tilted_kite
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_tilted_kite called")
+
+    monkeypatch.setattr(certificates, "gen_tilted_kite", refuse)
+    cert = cert_reflection_theorem(seed=3, samples=5)
+    assert cert.status == SUPPORTED
+    assert cert.tier2["kite_to_reflected_PTQT_zero"] == {"samples": 5,
+                                                         "violations": 0}
 
 
 def test_hull_tables_supported():

@@ -1,10 +1,12 @@
 import json
 import random
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
 
+from quadkit.conditions import eval_condition
 from quadkit.geometry import (DistSextuple, GeometryError, Point, QuadConfig,
                               cayley_menger, classify_hull, cocircularity,
                               config_from_obj, config_svg, config_to_obj,
@@ -239,6 +241,28 @@ def test_gen_reflected_satisfies_kite_condition():
     for seed in range(15):
         cfg = gen_reflected(seed)
         assert rt_condition_is_zero(cfg.sextuple())
+
+
+def test_gen_tilted_kite_reflection_construction():
+    # exact R_T = 0 and equal angles, the requested hull kind with B or D
+    # interior when concave, and kites from both cyclic orders: ACBD leaves
+    # A, B, D counterclockwise, ACDB clockwise.  About 0.2 s on a 2-core Xeon.
+    rng = random.Random(4)
+    t0 = time.perf_counter()
+    kites = [gen_tilted_kite(rng, convex=bool(i % 2)) for i in range(400)]
+    elapsed = time.perf_counter() - t0
+    orders = set()
+    for i, kite in enumerate(kites):
+        d = kite.sextuple()
+        assert eval_condition("R_T", d).is_zero and equal_angle_witness(d)
+        hull = classify_hull(kite)
+        if i % 2:
+            assert hull.is_convex
+        else:
+            assert hull.kind == "concave3" and hull.interior in ("B", "D")
+        orders.add(signed_areas(kite).abd > 0)
+    assert orders == {True, False}
+    assert elapsed < 2.0
 
 
 def test_gen_collinear_inorder():
