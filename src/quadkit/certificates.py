@@ -2,9 +2,10 @@
 certificate reports.
 
 Every certificate is two-tier where that makes sense: tier 1 is a symbolic
-Groebner computation (unit basis, radical membership, or elimination) under a
-wall-clock budget, tier 2 an exact-rational sampling fallback.  Symbolic
-success yields CERTIFIED, sampling alone SUPPORTED or TIER2-ONLY; the report
+Groebner computation (unit basis or radical membership) under a wall-clock
+budget, tier 2 an exact-rational sampling fallback.  One rule (`_status`)
+turns the tiers into a status: symbolic success yields CERTIFIED, sampling
+alone SUPPORTED or TIER2-ONLY, and no finished tier INCONCLUSIVE; the report
 never confuses the two.
 """
 
@@ -13,9 +14,10 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from typing import Callable, Sequence
 
 from . import geometry
@@ -27,9 +29,8 @@ from .geometry import (DistSextuple, HullClass, Point, QuadConfig,
                        gen_cyclic, gen_folded, gen_tilted_kite, hull_table,
                        orient_sign, random_quad, reflect_over_line, same_cycle,
                        signed_areas)
-from .groebner import (GroebnerTimeout, buchberger, elimination_ideal,
-                       normal_form, radical_membership)
-from .poly import GREVLEX, MonomialOrder, Polynomial, VarSet, det
+from .groebner import GroebnerTimeout, buchberger, radical_membership
+from .poly import GREVLEX, Polynomial, VarSet, det
 
 CERTIFIED = "CERTIFIED"
 SUPPORTED = "SUPPORTED"
@@ -60,22 +61,27 @@ class Certificate:
         return self.status != FAILED
 
     def to_obj(self) -> dict:
-        return {
-            "claim": self.claim,
-            "description": self.description,
-            "status": self.status,
-            "order": self.order,
-            "ideal": self.ideal,
-            "reduced_basis": self.reduced_basis,
-            "elapsed_ms": self.elapsed_ms,
-            "tier1": self.tier1,
-            "tier2": self.tier2,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _ms(t0: float) -> int:
     return int((time.monotonic() - t0) * 1000)
+
+
+def _status(tier1: bool | None, two_tier: bool, samples: int,
+            violations: int) -> str:
+    """The status of every claim: a false tier 1 (True, False, or None when
+    absent or unfinished) or any tier-2 violation fails it, a true tier 1
+    certifies it, and otherwise samples alone give TIER2-ONLY on a two-tier
+    claim or SUPPORTED on a sampling-only one; with no sample it stays
+    INCONCLUSIVE."""
+    if tier1 is False or violations:
+        return FAILED
+    if tier1:
+        return CERTIFIED
+    if not samples:
+        return INCONCLUSIVE
+    return TIER2_ONLY if two_tier else SUPPORTED
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +232,7 @@ def cert_converse_ptolemy(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
     cert.tier2 = {"samples": samples, "violations": bad,
                   "nonzero_determinant_controls": nonzero_controls,
                   "elapsed_ms": _ms(t2_start)}
-    if unit is False or bad:
-        cert.status = FAILED
-    elif unit is True:
-        cert.status = CERTIFIED
-    elif samples:
-        cert.status = TIER2_ONLY
+    cert.status = _status(unit, True, samples, bad)
     cert.elapsed_ms = _ms(t0)
     return cert
 
@@ -245,8 +246,7 @@ class _ElimTarget:
     scheme_builder: Callable[[], CoordinateScheme]
     constraint: str          # condition that cuts the family (P, R or R_T)
     area_spec: str           # N, M or a single triangle name
-    slack: str
-    power: int               # 1: linear in the slack; 2: compare squares
+    power: int               # 1: linear in the area value; 2: compare squares
     family: str              # sampling family for tier 2
     sign: int | None         # claimed sign of the target value (0 allowed)
     guards: tuple = ()       # rational guards, e.g. ("ad!=bc",)
@@ -276,32 +276,31 @@ def _elim_targets() -> dict[str, tuple[_ElimTarget, Polynomial, Polynomial]]:
     t_ad_bc = four * (a * d - b * c) ** 2
     t_ac_bd = four * (a * c - b * d) ** 2
     table: dict[str, tuple[_ElimTarget, Polynomial, Polynomial]] = {
-        "N_ptolemy": (_ElimTarget(ptolemy_scheme, "P", "N", "t", 1, "cyclic", 1),
+        "N_ptolemy": (_ElimTarget(ptolemy_scheme, "P", "N", 1, "cyclic", 1),
                       t_ab_cd, abcd * heron),
-        "M_ptolemy": (_ElimTarget(ptolemy_scheme, "P", "M", "t", 1, "cyclic", 1),
+        "M_ptolemy": (_ElimTarget(ptolemy_scheme, "P", "M", 1, "cyclic", 1),
                       t_bc_ad, abcd * heron),
-        "N_R": (_ElimTarget(r_scheme, "R", "N", "t", 1, "folded", -1),
+        "N_R": (_ElimTarget(r_scheme, "R", "N", 1, "folded", -1),
                 t_ab_cd, -1 * abcd * heron),
-        "dABD_R": (_ElimTarget(r_scheme, "R", "ABD", "s", 2, "folded", None),
+        "dABD_R": (_ElimTarget(r_scheme, "R", "ABD", 2, "folded", None),
                    t_ab_cd * (a * c + b * d) ** 2,
                    heron * (b * b - c * c) ** 2 * d * d * a * a),
-        "dBCD_R": (_ElimTarget(r_scheme, "R", "BCD", "eta", 2, "folded", None),
+        "dBCD_R": (_ElimTarget(r_scheme, "R", "BCD", 2, "folded", None),
                    t_ab_cd * (a * c + b * d) ** 2,
                    heron * (a * a - d * d) ** 2 * c * c * b * b),
-        "M_T": (_ElimTarget(t_scheme, "R_T", "M", "t", 1, "kite", 1,
-                            ("ad!=bc",)),
+        "M_T": (_ElimTarget(t_scheme, "R_T", "M", 1, "kite", 1, ("ad!=bc",)),
                 t_ad_bc, -1 * abcd * gamma),
-        "dABD_T": (_ElimTarget(t_scheme, "R_T", "ABD", "s", 2, "kite", None,
+        "dABD_T": (_ElimTarget(t_scheme, "R_T", "ABD", 2, "kite", None,
                                ("ad!=bc",)),
                    t_ad_bc, -1 * gamma * d * d * a * a),
-        "dBCD_T": (_ElimTarget(t_scheme, "R_T", "BCD", "s", 2, "kite", None,
+        "dBCD_T": (_ElimTarget(t_scheme, "R_T", "BCD", 2, "kite", None,
                                ("ad!=bc",)),
                    t_ad_bc, -1 * gamma * c * c * b * b),
-        "dABC_T": (_ElimTarget(t_scheme, "R_T", "ABC", "s", 2, "kite", None,
+        "dABC_T": (_ElimTarget(t_scheme, "R_T", "ABC", 2, "kite", None,
                                ("ad!=bc", "ac!=bd")),
                    t_ac_bd * (a * d - b * c) ** 2,
                    -1 * gamma * (c * c - d * d) ** 2 * b * b * a * a),
-        "dACD_T": (_ElimTarget(t_scheme, "R_T", "ACD", "s", 2, "kite", None,
+        "dACD_T": (_ElimTarget(t_scheme, "R_T", "ACD", 2, "kite", None,
                                ("ad!=bc", "ac!=bd")),
                    t_ac_bd * (a * d - b * c) ** 2,
                    -1 * gamma * (a * a - b * b) ** 2 * d * d * c * c),
@@ -339,21 +338,20 @@ def _guards_ok(d: DistSextuple, guards: tuple) -> bool:
     return True
 
 
-def _family_samples(family: str, rng: random.Random, n: int):
-    out = []
-    while len(out) < n:
+def _family_samples(family: str, rng: random.Random):
+    """Endless stream of exact configurations of one sampling family."""
+    for i in count():
         if family == "cyclic":
-            if len(out) % 50 == 49:
-                out.append(gen_collinear_inorder(rng))
+            if i % 50 == 49:
+                yield gen_collinear_inorder(rng)
             else:
-                out.append(gen_cyclic(rng, "ABCD" if len(out) % 2 else "ADCB"))
+                yield gen_cyclic(rng, "ABCD" if i % 2 else "ADCB")
         elif family == "folded":
-            out.append(gen_folded(rng))
+            yield gen_folded(rng)
         elif family == "kite":
-            out.append(gen_tilted_kite(rng, convex=bool(rng.random() < 0.5)))
+            yield gen_tilted_kite(rng, convex=bool(rng.random() < 0.5))
         else:
             raise ValueError(f"unknown family {family!r}")
-    return out
 
 
 def elimination_tier2(targets: Sequence[str], samples: int = 1000,
@@ -370,12 +368,9 @@ def elimination_tier2(targets: Sequence[str], samples: int = 1000,
     results = {t: {"samples": 0, "mismatches": 0, "sign_violations": 0,
                    "guard_skips": 0} for t in targets}
     for family, fam_targets in by_family.items():
-        rng = random.Random(seed)
-        # a few spare configs so guard skips cannot drop below the quota
-        cfgs = _family_samples(family, rng, samples + max(20, samples // 20))
-        for cfg in cfgs:
-            if all(results[t]["samples"] >= samples for t in fam_targets):
-                break
+        stream = _family_samples(family, random.Random(seed))
+        while any(results[t]["samples"] < samples for t in fam_targets):
+            cfg = next(stream)
             d = cfg.sextuple()
             for t in fam_targets:
                 tgt, lhs_poly, rhs_poly = table[t]
@@ -391,69 +386,30 @@ def elimination_tier2(targets: Sequence[str], samples: int = 1000,
                 rhs = eval_poly_on_sextuple(rhs_poly, d)
                 if lhs != rhs:
                     results[t]["mismatches"] += 1
-                if tgt.sign is not None:
-                    if tgt.sign > 0 and value < 0:
-                        results[t]["sign_violations"] += 1
-                    elif tgt.sign < 0 and value > 0:
-                        results[t]["sign_violations"] += 1
+                if tgt.sign is not None and tgt.sign * value < 0:
+                    results[t]["sign_violations"] += 1
     return results
 
 
-def _tier1_elimination(target: str, timeout: float,
-                       literal_budget: float = 0.0) -> dict:
-    """Symbolic tier: a radical-membership certificate of the relation, after
-    the literal elimination (drop the six coordinate and diagonal variables,
-    check the relation lands in the elimination ideal) if `literal_budget`
-    gives it a slice; all attempts together stay within `timeout`."""
+def _tier1_elimination(target: str, timeout: float) -> dict:
+    """Symbolic tier: a radical-membership certificate that the relation
+    A' * value^power - B' vanishes on the scheme's variety, within
+    `timeout`."""
+    t0 = time.monotonic()
     tgt, lhs_poly, rhs_poly = _elim_targets()[target]
     scheme = tgt.scheme_builder()
-    info: dict = {"completed": False, "method": None}
     area = _target_area_poly(scheme, tgt.area_spec)
-    constraint = _dist(tgt.constraint)
-
-    end = time.monotonic() + timeout
-    lit_budget = min(literal_budget, timeout)
-    if lit_budget <= 0.01:
-        info["note"] = ("literal elimination skipped: it does not finish at "
-                        "desk scale; a positive literal_budget opts in")
-    else:
-        t0 = time.monotonic()
-        try:
-            ext = scheme.vars.extend(tgt.slack)
-            slack = Polynomial.variable(ext, tgt.slack)
-            gens = [g.on_vars(ext) for g in scheme.generators]
-            gens.append(constraint.on_vars(ext))
-            gens.append(area.on_vars(ext) - slack)
-            elim = elimination_ideal(
-                gens, ("e", "f", "u", "v", "w", "z"), timeout=lit_budget)
-            kept = VarSet(("a", "b", "c", "d", tgt.slack))
-            s_kept = Polynomial.variable(kept, tgt.slack)
-            rel = (lhs_poly.on_vars(kept) * s_kept ** tgt.power
-                   - rhs_poly.on_vars(kept))
-            in_ideal = normal_form(rel, elim, GREVLEX).is_zero
-            ok = in_ideal or radical_membership(
-                rel, elim, timeout=max(t0 + lit_budget - time.monotonic(), 0))
-            info.update(completed=True, method="elimination",
-                        relation_in_elimination_ideal=in_ideal,
-                        relation_on_variety=ok,
-                        elimination_generators=len(elim),
-                        elapsed_ms=_ms(t0))
-            return info
-        except GroebnerTimeout:
-            info["elimination_attempt_ms"] = _ms(t0)
-
-    t0 = time.monotonic()
+    rel = (lhs_poly.on_vars(scheme.vars) * area ** tgt.power
+           - rhs_poly.on_vars(scheme.vars))
+    gens = list(scheme.generators) + [_dist(tgt.constraint)]
     try:
-        rel = (lhs_poly.on_vars(scheme.vars) * area ** tgt.power
-               - rhs_poly.on_vars(scheme.vars))
-        gens = list(scheme.generators) + [constraint]
-        ok = radical_membership(rel, gens,
-                                timeout=max(end - time.monotonic(), 0))
-        info.update(completed=True, method="radical-membership",
-                    relation_on_variety=ok, elapsed_ms=_ms(t0))
+        ok = radical_membership(rel, gens, timeout=max(
+            t0 + timeout - time.monotonic(), 0))
     except GroebnerTimeout:
-        info["radical_attempt_ms"] = _ms(t0)
-    return info
+        return {"completed": False, "method": None,
+                "radical_attempt_ms": _ms(t0)}
+    return {"completed": True, "method": "radical-membership",
+            "relation_on_variety": ok, "elapsed_ms": _ms(t0)}
 
 
 def _stated_hull_sets(n_or_m: str) -> dict[int, set[str]]:
@@ -471,9 +427,9 @@ def _stated_hull_sets(n_or_m: str) -> dict[int, set[str]]:
 
 def cert_elimination_formula(target: str, seed: int = 0,
                              timeout: float = DEFAULT_TIMEOUT,
-                             samples: int = 1000,
-                             literal_budget: float = 0.0) -> Certificate:
-    """Two-tier verification of one closed-form area product/slack formula."""
+                             samples: int = 1000) -> Certificate:
+    """Two-tier verification of one closed-form area or area-product
+    formula."""
     if target not in _elim_targets():
         raise ValueError(f"unknown elimination target {target!r}; "
                          f"one of {', '.join(ELIM_TARGETS)}")
@@ -484,13 +440,11 @@ def cert_elimination_formula(target: str, seed: int = 0,
         f"elim_{target}",
         f"closed form for {tgt.area_spec} on the {tgt.constraint} = 0 "
         f"family ({scheme.name} placement)")
-    order = MonomialOrder.block_elimination(6)
-    cert.order = order.name
+    cert.order = GREVLEX.name
     gens = [g.to_text(GREVLEX) for g in scheme.generators]
     gens.append(condition_poly(tgt.constraint).to_text(GREVLEX))
     cert.ideal = gens
-    cert.tier1 = (_tier1_elimination(target, timeout, literal_budget)
-                  if timeout > 0 else
+    cert.tier1 = (_tier1_elimination(target, timeout) if timeout > 0 else
                   {"completed": False, "method": None,
                    "note": "tier 1 skipped (budget 0)"})
 
@@ -514,8 +468,8 @@ def cert_elimination_formula(target: str, seed: int = 0,
             + ("matches the expected statement lists"
                if derived == expected else
                f"MISMATCH vs expected {expected}"))
-        rng = random.Random(seed + 1)
-        fam = _family_samples(tgt.family, rng, min(samples, 200))
+        fam = islice(_family_samples(tgt.family, random.Random(seed + 1)),
+                     min(samples, 200))
         bad_hulls = 0
         for cfg in fam:
             h = classify_hull(cfg)
@@ -527,24 +481,19 @@ def cert_elimination_formula(target: str, seed: int = 0,
         stats["hull_violations"] = bad_hulls
     if tgt.constraint == "R_T" and tgt.sign is not None:
         # the sign claim rides on -Gamma >= 0 for the family
-        rng = random.Random(seed + 2)
-        fam = _family_samples(tgt.family, rng, min(samples, 200))
+        fam = islice(_family_samples(tgt.family, random.Random(seed + 2)),
+                     min(samples, 200))
         gamma = _gamma_poly()
         gbad = sum(1 for cfg in fam
                    if eval_poly_on_sextuple(gamma, cfg.sextuple()).sign() > 0)
         stats["gamma_sign_violations"] = gbad
     cert.tier2 = stats
 
-    t2_bad = (stats["mismatches"] or stats["sign_violations"]
-              or stats.get("hull_violations", 0)
-              or stats.get("gamma_sign_violations", 0))
-    t1 = cert.tier1
-    if t2_bad or (t1.get("completed") and not t1.get("relation_on_variety")):
-        cert.status = FAILED
-    elif t1.get("completed"):
-        cert.status = CERTIFIED
-    else:
-        cert.status = TIER2_ONLY
+    violations = (stats["mismatches"] + stats["sign_violations"]
+                  + stats.get("hull_violations", 0)
+                  + stats.get("gamma_sign_violations", 0))
+    cert.status = _status(cert.tier1.get("relation_on_variety"), True,
+                          stats["samples"], violations)
     cert.elapsed_ms = _ms(t0)
     return cert
 
@@ -631,28 +580,25 @@ def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
     t2_start = time.monotonic()
     branch_bad = law_bad_ac = rt_bad = 0
     kite_law_holds = 0
-    n_each = max(samples // 3, 1)
-    for maker, kind in ((_parallelogram, "parallelogram"),
-                        (_rhombus, "rhombus"),
-                        (_symmetric_kite, "kite")):
-        for _ in range(n_each):
-            cfg = maker(rng)
-            d6 = cfg.sextuple()
-            if d6.qa * d6.qd != d6.qb * d6.qc:
-                branch_bad += 1
-                continue
-            if not geometry.rt_condition_is_zero(d6):
-                rt_bad += 1
-            first = d6.qa == d6.qc and d6.qb == d6.qd
-            second = d6.qa == d6.qb and d6.qc == d6.qd
-            if not (first or second):
-                branch_bad += 1
-            plaw = 2 * d6.qa + 2 * d6.qb - d6.qe - d6.qf
-            if first and plaw != 0:
-                law_bad_ac += 1
-            if kind == "kite" and not first and plaw == 0:
-                kite_law_holds += 1
-    cert.tier2 = {"samples": 3 * n_each, "branch_violations": branch_bad,
+    makers = (_parallelogram, _rhombus, _symmetric_kite)
+    for i in range(samples):
+        maker = makers[i % 3]
+        d6 = maker(rng).sextuple()
+        if d6.qa * d6.qd != d6.qb * d6.qc:
+            branch_bad += 1
+            continue
+        if not geometry.rt_condition_is_zero(d6):
+            rt_bad += 1
+        first = d6.qa == d6.qc and d6.qb == d6.qd
+        second = d6.qa == d6.qb and d6.qc == d6.qd
+        if not (first or second):
+            branch_bad += 1
+        plaw = 2 * d6.qa + 2 * d6.qb - d6.qe - d6.qf
+        if first and plaw != 0:
+            law_bad_ac += 1
+        if maker is _symmetric_kite and not first and plaw == 0:
+            kite_law_holds += 1
+    cert.tier2 = {"samples": samples, "branch_violations": branch_bad,
                   "rt_violations": rt_bad,
                   "parallelogram_law_violations_on_a=c_branch": law_bad_ac,
                   "elapsed_ms": _ms(t2_start)}
@@ -661,13 +607,8 @@ def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
         "not the parallelogram law 2a^2+2b^2-e^2-f^2 = 0, e.g. A(0,0) B(2,1) "
         "C(4,0) D(2,-2) gives the law value -5: the law is specific to the "
         "a=c, b=d branch")
-    t2_bad = branch_bad or law_bad_ac or rt_bad or kite_law_holds
-    if member is False or t2_bad:
-        cert.status = FAILED
-    elif member is True:
-        cert.status = CERTIFIED
-    else:
-        cert.status = TIER2_ONLY
+    cert.status = _status(member, True, samples, branch_bad + law_bad_ac
+                          + rt_bad + kite_law_holds)
     cert.elapsed_ms = _ms(t0)
     return cert
 
@@ -687,6 +628,47 @@ def _frac_inside(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     return lo + (hi - lo) * Fraction(num, 20)
 
 
+def _apex(rng: random.Random) -> tuple[Fraction, Fraction]:
+    return (Fraction(rng.randint(1, 9), rng.randint(1, 3)),
+            Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+
+
+_TRIANGLES = ("ABC", "ABD", "BCD", "ACD")  # the order of SignedAreas
+
+
+@lru_cache(maxsize=1)
+def _degenerate_families() -> dict[str, tuple]:
+    """Per family: the exact condition test; the squared diagonal laid on
+    the axis from the origin to (2h, 0); the draw of the free axis point and
+    whether it comes before the case; and one row per case, in the order the
+    draw picks them: its name; A, B, C, D from the half axis h, the apex
+    height k and the free point x; exactly the flat triangles; two sides of
+    equal length; the angle witness; a further polynomial that vanishes;
+    whether the case draws its own apex and free point."""
+    return {
+        # D at the origin, B = (2h, 0), the free point outside BD
+        "R": (geometry.r_condition_is_zero, "qf", _frac_outside, True, (
+            ("all_collinear",
+             lambda h, k, x: ((x, 0), (2 * h, 0), (h, 0), (0, 0)),
+             _TRIANGLES, ("qb", "qc"), None, _heron_poly(), False),
+            ("case2", lambda h, k, x: ((x, 0), (2 * h, 0), (h, k), (0, 0)),
+             ("ABD",), ("qb", "qc"), supplementary_witness,
+             condition_poly("K"), False),
+            ("case3", lambda h, k, x: ((h, k), (2 * h, 0), (x, 0), (0, 0)),
+             ("BCD",), ("qa", "qd"), supplementary_witness, None, True))),
+        # A at the origin, C = (2h, 0), the free point inside AC
+        "R_T": (geometry.rt_condition_is_zero, "qe", _frac_inside, False, (
+            ("all_collinear",
+             lambda h, k, x: ((0, 0), (x, 0), (2 * h, 0), (h, 0)),
+             _TRIANGLES, ("qc", "qd"), None, _gamma_poly(), False),
+            ("case2", lambda h, k, x: ((0, 0), (x, 0), (2 * h, 0), (h, k)),
+             ("ABC",), ("qc", "qd"), equal_angle_witness,
+             condition_poly("K_T"), False),
+            ("case3", lambda h, k, x: ((0, 0), (h, k), (2 * h, 0), (x, 0)),
+             ("ACD",), ("qa", "qb"), equal_angle_witness, None, True))),
+    }
+
+
 def cert_degenerate_cases(family: str, seed: int = 0,
                           samples: int = 200) -> Certificate:
     """Constructs the collinear degenerate families explicitly and verifies
@@ -695,116 +677,41 @@ def cert_degenerate_cases(family: str, seed: int = 0,
     if family not in ("R", "R_T"):
         raise ValueError("family must be 'R' or 'R_T'")
     t0 = time.monotonic()
+    is_zero, axis, free_point, free_first, cases = \
+        _degenerate_families()[family]
     cert = Certificate(
         f"degenerate_{'R' if family == 'R' else 'RT'}",
         f"degenerate (collinear) configurations of the {family} = 0 family: "
         "collinear triple + isosceles side pair, and the all-collinear case")
     rng = random.Random(seed)
-    checks = {"all_collinear": 0, "case2": 0, "case3": 0}
+    checks = {case[0]: 0 for case in cases}
     bad = 0
     for _ in range(samples):
-        if family == "R":
-            # scheme: D origin, B=(f,0); case 2: A,B,D collinear with b=c
-            w = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-            z = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-            f_val = 2 * w
-            u = _frac_outside(rng, Fraction(0), f_val)
-            mode = rng.choice(["all", "case2", "case3"])
-            if mode == "all":
-                cfg = QuadConfig(Point(u, Fraction(0)), Point(f_val, Fraction(0)),
-                                 Point(w, Fraction(0)), Point(Fraction(0), Fraction(0)))
-                if not cfg.distinct():
-                    continue
-                d6 = cfg.sextuple()
-                ar = signed_areas(cfg)
-                ok = (ar.as_tuple() == (0, 0, 0, 0)
-                      and geometry.r_condition_is_zero(d6)
-                      and eval_poly_on_sextuple(_heron_poly(), d6).is_zero)
-                checks["all_collinear"] += 1
-            elif mode == "case2":
-                cfg = QuadConfig(Point(u, Fraction(0)), Point(f_val, Fraction(0)),
-                                 Point(w, z), Point(Fraction(0), Fraction(0)))
-                d6 = cfg.sextuple()
-                ar = signed_areas(cfg)
-                ok = (ar.abd == 0 and ar.abc != 0 and ar.acd != 0
-                      and geometry.r_condition_is_zero(d6)
-                      and d6.qb == d6.qc          # b = c
-                      and d6.qf == 4 * w * w       # f = 2w
-                      and supplementary_witness(d6)
-                      and eval_condition("K", d6).is_zero)
-                checks["case2"] += 1
-            else:
-                # case 3: B,C,D collinear with a=d; C outside the BD segment
-                uu = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-                vv = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-                f_val = 2 * uu
-                ww = _frac_outside(rng, Fraction(0), f_val)
-                cfg = QuadConfig(Point(uu, vv), Point(f_val, Fraction(0)),
-                                 Point(ww, Fraction(0)), Point(Fraction(0), Fraction(0)))
-                d6 = cfg.sextuple()
-                ar = signed_areas(cfg)
-                ok = (ar.bcd == 0 and ar.abc != 0
-                      and geometry.r_condition_is_zero(d6)
-                      and d6.qa == d6.qd           # a = d
-                      and d6.qf == 4 * uu * uu      # f = 2u
-                      and supplementary_witness(d6))
-                checks["case3"] += 1
-        else:
-            # scheme: A origin, C=(e,0); case 2: A,B,C collinear with c=d
-            w = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-            z = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-            e_val = 2 * w
-            mode = rng.choice(["all", "case2", "case3"])
-            if mode == "all":
-                u = _frac_inside(rng, Fraction(0), e_val)
-                cfg = QuadConfig(Point(Fraction(0), Fraction(0)), Point(u, Fraction(0)),
-                                 Point(e_val, Fraction(0)), Point(w, Fraction(0)))
-                if not cfg.distinct():
-                    continue
-                d6 = cfg.sextuple()
-                ar = signed_areas(cfg)
-                ok = (ar.as_tuple() == (0, 0, 0, 0)
-                      and geometry.rt_condition_is_zero(d6)
-                      and eval_poly_on_sextuple(_gamma_poly(), d6).is_zero)
-                checks["all_collinear"] += 1
-            elif mode == "case2":
-                u = _frac_inside(rng, Fraction(0), e_val)
-                if u == w:
-                    continue
-                cfg = QuadConfig(Point(Fraction(0), Fraction(0)), Point(u, Fraction(0)),
-                                 Point(e_val, Fraction(0)), Point(w, z))
-                d6 = cfg.sextuple()
-                ar = signed_areas(cfg)
-                ok = (ar.abc == 0 and ar.abd != 0
-                      and geometry.rt_condition_is_zero(d6)
-                      and d6.qc == d6.qd           # c = d
-                      and d6.qe == 4 * w * w        # e = 2w
-                      and equal_angle_witness(d6)
-                      and eval_condition("K_T", d6).is_zero)
-                checks["case2"] += 1
-            else:
-                # case 3: A,C,D collinear with a=b; D inside the AC segment
-                uu = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-                vv = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-                e_val = 2 * uu
-                ww = _frac_inside(rng, Fraction(0), e_val)
-                if ww == uu:
-                    continue
-                cfg = QuadConfig(Point(Fraction(0), Fraction(0)), Point(uu, vv),
-                                 Point(e_val, Fraction(0)), Point(ww, Fraction(0)))
-                d6 = cfg.sextuple()
-                ar = signed_areas(cfg)
-                ok = (ar.acd == 0 and ar.abc != 0
-                      and geometry.rt_condition_is_zero(d6)
-                      and d6.qa == d6.qb           # a = b
-                      and d6.qe == 4 * uu * uu      # e = 2u
-                      and equal_angle_witness(d6))
-                checks["case3"] += 1
-        if not ok:
-            bad += 1
-    cert.tier2 = {"samples": sum(checks.values()), "by_case": checks,
-                  "violations": bad, "elapsed_ms": _ms(t0)}
-    cert.status = FAILED if bad else SUPPORTED
+        h, k = _apex(rng)
+        if free_first:
+            x = free_point(rng, Fraction(0), 2 * h)
+        name, place, flat, (s1, s2), witness, zero, redraw = rng.choice(cases)
+        if redraw:
+            h, k = _apex(rng)
+        if redraw or not free_first:
+            x = free_point(rng, Fraction(0), 2 * h)
+        if x == h:
+            continue  # the free point at the apex's foot (B = D when flat)
+        cfg = QuadConfig.of(*place(h, k, x))
+        d6 = cfg.sextuple()
+        areas = signed_areas(cfg).as_tuple()
+        ok = ({t for t, ar in zip(_TRIANGLES, areas) if ar == 0} == set(flat)
+              and is_zero(d6)
+              and getattr(d6, axis) == 4 * h * h
+              and getattr(d6, s1) == getattr(d6, s2)
+              and (witness is None or witness(d6))
+              and (zero is None or eval_poly_on_sextuple(zero, d6).is_zero))
+        checks[name] += 1
+        bad += not ok
+    n = sum(checks.values())
+    cert.tier2 = {"samples": n, "by_case": checks, "violations": bad,
+                  "elapsed_ms": _ms(t0)}
+    cert.status = _status(None, False, n, bad)
     cert.elapsed_ms = _ms(t0)
     return cert
 
@@ -911,7 +818,8 @@ def cert_reflection_theorem(seed: int = 0, samples: int = 500) -> Certificate:
         "PTQT_nonzero_keeps_reflected_RT_nonzero": {"samples": done_neg,
                                                     "violations": neg_bad},
     }
-    cert.status = FAILED if (fwd_bad or rev_bad or neg_bad) else SUPPORTED
+    cert.status = _status(None, False, done_fwd + done_rev + done_neg,
+                          fwd_bad + rev_bad + neg_bad)
     cert.elapsed_ms = _ms(t0)
     return cert
 
@@ -1010,7 +918,8 @@ def cert_hull_tables(seed: int = 0, samples: int = 100000) -> Certificate:
     cert.tier2 = {"samples": samples, "mismatches": mismatches,
                   "unrealizable_patterns": unrealizable_seen,
                   "kinds": kinds, "elapsed_ms": _ms(t0)}
-    cert.status = FAILED if (mismatches or unrealizable_seen) else SUPPORTED
+    cert.status = _status(None, False, samples,
+                          mismatches + unrealizable_seen)
     cert.elapsed_ms = _ms(t0)
     return cert
 

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from quadkit import certificates
-from quadkit.certificates import (CERTIFIED, CLAIMS, SUPPORTED, TIER2_ONLY,
-                                  cert_converse_ptolemy, cert_degenerate_cases,
+from quadkit.certificates import (CERTIFIED, CLAIMS, INCONCLUSIVE, SUPPORTED,
+                                  TIER2_ONLY, cert_converse_ptolemy,
+                                  cert_degenerate_cases,
                                   cert_elimination_formula, cert_hull_tables,
                                   cert_parallelogram_case,
                                   cert_reflection_theorem, elimination_tier2,
@@ -62,35 +63,21 @@ def test_converse_ptolemy_tier2_only_on_tiny_budget():
 def test_elimination_certificates_radical_route():
     for target in ("N_ptolemy", "M_T"):
         cert = cert_elimination_formula(target, seed=3, timeout=120,
-                                        samples=30, literal_budget=0)
+                                        samples=30)
         assert cert.status == CERTIFIED, (target, cert.tier1)
         assert cert.tier1["method"] == "radical-membership"
         assert cert.tier1["relation_on_variety"] is True
         assert cert.tier2["mismatches"] == 0
 
 
-def test_literal_elimination_is_opt_in():
-    # skipped by default, with the reason recorded; a positive budget tries
-    # it first (it times out here) and the radical route still certifies
-    cert = cert_elimination_formula("dABD_T", seed=2, timeout=60, samples=5)
-    assert cert.status == CERTIFIED
-    assert "literal elimination skipped" in cert.tier1["note"]
-    assert "elimination_attempt_ms" not in cert.tier1
-    cert = cert_elimination_formula("dABD_T", seed=2, timeout=60, samples=5,
-                                    literal_budget=0.3)
-    assert cert.status == CERTIFIED, cert.tier1
-    assert cert.tier1["method"] == "radical-membership"
-    assert 250 <= cert.tier1["elimination_attempt_ms"] < 2000
-    assert "note" not in cert.tier1
-
-
 def test_all_elimination_targets_certify_symbolically():
     # the full sweep: every closed form is proven on the variety, not just
-    # sampled (radical route; the literal elimination attempt is skipped)
+    # sampled (radical route), under the order the record names
     for target in ELIM_TARGETS:
         cert = cert_elimination_formula(target, seed=1, timeout=180,
-                                        samples=10, literal_budget=0)
+                                        samples=10)
         assert cert.status == CERTIFIED, (target, cert.tier1)
+        assert cert.order == "grevlex"
 
 
 def test_elimination_tier2_only_when_budget_zero():
@@ -150,6 +137,19 @@ def test_degenerate_cases_both_families():
         assert all(v > 0 for v in cert.tier2["by_case"].values())
     with pytest.raises(ValueError):
         cert_degenerate_cases("X")
+
+
+def test_degenerate_records_pinned():
+    # the seeded draws of both families, case by case
+    pinned = {("R", 0, 200): (200, (79, 65, 56)),
+              ("R", 4, 120): (120, (37, 43, 40)),
+              ("R_T", 0, 200): (188, (66, 62, 60)),
+              ("R_T", 4, 120): (112, (34, 41, 37))}
+    for (family, seed, samples), (n, by_case) in pinned.items():
+        tier2 = cert_degenerate_cases(family, seed, samples).tier2
+        del tier2["elapsed_ms"]
+        assert tier2 == {"samples": n, "violations": 0, "by_case": dict(
+            zip(("all_collinear", "case2", "case3"), by_case))}
 
 
 def test_reflection_theorem_supported():
@@ -215,6 +215,18 @@ def test_run_certificates_parallel_jobs():
     certs = run_certificates(["degenerate_R", "degenerate_RT"], seed=1,
                              jobs=2, samples=40)
     assert all(c.status == SUPPORTED for c in certs)
+
+
+def test_no_samples_supports_nothing():
+    # with no tier-2 sample and a tier 1 too short to finish, a claim has no
+    # evidence: INCONCLUSIVE (a finished tier 1 may still certify)
+    for cert in run_certificates(seed=0, timeout=0.05, samples=0):
+        assert cert.status in (INCONCLUSIVE, CERTIFIED), (cert.claim,
+                                                          cert.status)
+        assert cert.status != CERTIFIED or cert.tier1["completed"]
+        parts = (cert.tier2.values() if cert.claim == "reflection_theorem"
+                 else [cert.tier2])
+        assert all(p["samples"] == 0 for p in parts), (cert.claim, cert.tier2)
 
 
 def test_all_claims_registered():

@@ -176,7 +176,5 @@ def test_prove_tier1_respects_timeout(capsys):
                "--format", "json"])
     assert rc == 0
     tier1 = json.loads(capsys.readouterr().out)[0]["tier1"]
-    spent = sum(tier1.get(k, 0) for k in (
-        "elapsed_ms", "elimination_attempt_ms", "radical_attempt_ms"))
+    spent = sum(tier1.get(k, 0) for k in ("elapsed_ms", "radical_attempt_ms"))
     assert spent < 500, tier1
-    assert "literal elimination skipped" in tier1["note"]
