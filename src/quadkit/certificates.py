@@ -27,7 +27,7 @@ from .conditions import (DIST_VARS, condition_poly, eval_condition,
 from .geometry import (DistSextuple, HullClass, Point, QuadConfig,
                        classify_hull, cocircularity, gen_collinear_inorder,
                        gen_cyclic, gen_folded, gen_tilted_kite, hull_table,
-                       orient_sign, random_quad, reflect_over_line, same_cycle,
+                       random_quad, reflect_over_line, same_cycle,
                        signed_areas)
 from .groebner import GroebnerTimeout, buchberger, radical_membership
 from .poly import GREVLEX, Polynomial, VarSet, det
@@ -475,8 +475,7 @@ def cert_elimination_formula(target: str, seed: int = 0,
             h = classify_hull(cfg)
             if h.kind.startswith("collinear"):
                 continue
-            abc = orient_sign(cfg.A, cfg.B, cfg.C)
-            if h.boundary not in derived[abc]:
+            if h.boundary not in derived[cfg.orient("ABC")]:
                 bad_hulls += 1
         stats["hull_violations"] = bad_hulls
     if tgt.constraint == "R_T" and tgt.sign is not None:
@@ -830,44 +829,39 @@ def cert_reflection_theorem(seed: int = 0, samples: int = 500) -> Certificate:
 
 def oracle_hull(cfg: QuadConfig) -> HullClass:
     """Convex hull of the four labeled points by direct orientation tests;
-    shares no code path with the sign-table classifier."""
-    pts = dict(zip("ABCD", cfg.points()))
+    shares only the orientation primitive with the sign-table classifier."""
+    orient = cfg.orient
     labels = "ABCD"
-    collinear = []
-    for tri in ("ABC", "ABD", "ACD", "BCD"):
-        if orient_sign(pts[tri[0]], pts[tri[1]], pts[tri[2]]) == 0:
-            collinear.append(tri)
+    collinear = [tri for tri in ("ABC", "ABD", "ACD", "BCD")
+                 if orient(tri) == 0]
     if len(collinear) >= 2:
         return HullClass("collinear4")
     if len(collinear) == 1:
-        tri = collinear[0]
-        canonical = {"ABC": "ABC", "ABD": "ABD", "ACD": "ACD", "BCD": "BCD"}
-        return HullClass("collinear3", triple=canonical[tri])
+        return HullClass("collinear3", triple=collinear[0])
     interior = []
     for x in labels:
-        others = [l for l in labels if l != x]
-        s1 = orient_sign(pts[others[0]], pts[others[1]], pts[x])
-        s2 = orient_sign(pts[others[1]], pts[others[2]], pts[x])
-        s3 = orient_sign(pts[others[2]], pts[others[0]], pts[x])
-        base = orient_sign(pts[others[0]], pts[others[1]], pts[others[2]])
-        if s1 == s2 == s3 == base:
+        o0, o1, o2 = [l for l in labels if l != x]
+        base = orient(o0 + o1 + o2)
+        if orient(o0 + o1 + x) == orient(o1 + o2 + x) \
+                == orient(o2 + o0 + x) == base:
             interior.append(x)
     if len(interior) > 1:
         raise AssertionError("two interior points cannot happen")
     if interior:
         inner = interior[0]
-        tri = [l for l in labels if l != inner]
-        if orient_sign(pts[tri[0]], pts[tri[1]], pts[tri[2]]) < 0:
-            tri = [tri[0], tri[2], tri[1]]
-        return HullClass("concave3", boundary="".join(tri), interior=inner)
+        tri = "".join(l for l in labels if l != inner)
+        if orient(tri) < 0:
+            tri = tri[0] + tri[2] + tri[1]
+        return HullClass("concave3", boundary=tri, interior=inner)
     # convex: start at the lowest point, order the rest counterclockwise
-    start = min(labels, key=lambda l: (pts[l].y, pts[l].x))
-    rest = [l for l in labels if l != start]
+    pts = cfg.int_points
+    start = min(labels, key=lambda l: (pts[l][1], pts[l][0]))
     ordered: list[str] = []
-    for l in rest:
+    for l in labels:
+        if l == start:
+            continue
         k = 0
-        while k < len(ordered) and orient_sign(pts[start], pts[ordered[k]],
-                                               pts[l]) > 0:
+        while k < len(ordered) and orient(start + ordered[k] + l) > 0:
             k += 1
         ordered.insert(k, l)
     ring = start + "".join(ordered)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .geometry import DistSextuple, cayley_menger, equal_angle_witness
 from .poly import Polynomial, VarSet, det
-from .radicals import RadicalValue, rad_sqrt, sqrt_rational
+from .radicals import ZERO, RadicalValue, rad_sqrt, sqrt_rational
 
 DIST_VARS = VarSet(("a", "b", "c", "d", "e", "f"))
 
@@ -132,32 +133,61 @@ def verify_all_identities() -> dict[str, bool]:
 # exact evaluation on squared-distance sextuples
 # ---------------------------------------------------------------------------
 
-def sextuple_roots(d: DistSextuple) -> dict[str, RadicalValue]:
-    """a = sqrt(qa), ..., f = sqrt(qf) as exact radical values."""
-    qs = d.as_tuple()
-    return {name: sqrt_rational(q) for name, q in zip("abcdef", qs)}
+_COMPILED: dict[int, tuple] = {}  # by id; each entry keeps its polynomial
+
+
+def _compile(p: Polynomial) -> tuple:
+    """p's terms by the parity vector of their exponents: per class the odd
+    variables, den and e of the common denominator den * L**e (L scales the
+    sextuple to integers) and per term its integer coefficient, its half
+    exponents above 0 and the power of L padding it to the top half degree."""
+    hit = _COMPILED.get(id(p))
+    if hit is not None:
+        return hit[1]
+    if p.vars != DIST_VARS:
+        raise ValueError("polynomial must live in the distance variables")
+    groups: dict[tuple[int, ...], list] = {}
+    for mono, c in p.terms.items():
+        groups.setdefault(tuple(i for i, e in enumerate(mono) if e & 1),
+                          []).append((mono, c, sum(e >> 1 for e in mono)))
+    classes = []
+    for odd, terms in groups.items():
+        den = lcm(*(c.denominator for _, c, _ in terms))
+        top = max(h for _, _, h in terms)
+        classes.append((odd, den, top + (len(odd) + 1) // 2, tuple(
+            (c.numerator * (den // c.denominator),
+             tuple((i, e >> 1) for i, e in enumerate(mono) if e > 1), top - h)
+            for mono, c, h in terms)))
+    if len(_COMPILED) >= 256:
+        del _COMPILED[next(iter(_COMPILED))]
+    _COMPILED[id(p)] = hit = (p, tuple(classes))
+    return hit[1]
 
 
 def eval_poly_on_sextuple(p: Polynomial, d: DistSextuple) -> RadicalValue:
-    """Evaluate a distance polynomial exactly at a = sqrt(qa) etc."""
-    if p.vars != DIST_VARS:
-        raise ValueError("polynomial must live in the distance variables")
-    qs = dict(zip("abcdef", d.as_tuple()))
-    total = RadicalValue.from_rational(0)
-    for mono, coeff in p.terms.items():
-        rat = coeff
-        rad = 1
-        for name, exp in zip("abcdef", mono):
-            if not exp:
-                continue
-            q = qs[name]
-            rat *= q ** (exp >> 1)
-            if exp & 1:
-                rad *= q
-        term = RadicalValue.from_rational(rat)
-        if rad != 1:
-            term = term * sqrt_rational(rad)
-        total = total + term
+    """Evaluate a distance polynomial exactly at a = sqrt(qa) etc.
+
+    With q_i = n_i / L for integers n_i, each parity class is an integer sum
+    times sqrt(L**(len(odd) % 2) * prod of its odd n_i) over a power of L:
+    one square root per class.  Roots of distinct squarefree integers are
+    linearly independent over Q, so the value's form is the term-wise one."""
+    qs = d.as_tuple()
+    scale = lcm(*(q.denominator for q in qs))
+    n = [q.numerator * (scale // q.denominator) for q in qs]
+    total = ZERO
+    for odd, den, exp, rows in _compile(p):
+        acc = 0
+        for coeff, halves, pad in rows:
+            t = coeff * scale ** pad if pad else coeff
+            for i, h in halves:
+                t *= n[i] ** h
+            acc += t
+        if acc:
+            radicand = scale if len(odd) & 1 else 1
+            for i in odd:
+                radicand *= n[i]
+            total = total + sqrt_rational(radicand) * Fraction(
+                acc, den * scale ** exp)
     return total
 
 

@@ -6,15 +6,17 @@ for the configuration families (cyclic, folded, tilted kite, reflected).  The
 generators are constructive: rational points on the unit circle, reflected
 across a diagonal where the family asks for it (a folded quadrilateral folds
 D over AC; a tilted kite reflects C of a cyclic ACBD or ACDB configuration
-over BD).  Everything is Fraction arithmetic; generators only ever emit
-rational points, so downstream tests are exact.
+over BD).  Generators only ever emit rational points, so downstream tests
+are exact; orientations, areas, distances and point equality are computed on
+integer points (`QuadConfig.int_points`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from .poly import det
 
 
@@ -51,12 +53,6 @@ class Point:
         return iter((self.x, self.y))
 
 
-def sqdist(p: Point, q: Point) -> Fraction:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy
-
-
 @dataclass(frozen=True)
 class DistSextuple:
     """Squared distances qa=|AB|^2, qb=|BC|^2, qc=|CD|^2, qd=|DA|^2,
@@ -84,12 +80,27 @@ class DistSextuple:
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Four labeled planar points A, B, C, D."""
+    """Four labeled planar points A, B, C, D.  `int_points` maps each label
+    to its point times `int_scale`, the lcm of the eight coordinate
+    denominators: a positive shared scale keeps orientations, coincidences
+    and coordinate order."""
 
     A: Point
     B: Point
     C: Point
     D: Point
+    int_scale: int = field(init=False, repr=False, compare=False)
+    int_points: dict[str, tuple[int, int]] = field(init=False, repr=False,
+                                                   compare=False)
+
+    def __post_init__(self):
+        pts = self.points()
+        s = lcm(*(c.denominator for p in pts for c in p))
+        object.__setattr__(self, "int_scale", s)
+        object.__setattr__(self, "int_points", {
+            label: (p.x.numerator * (s // p.x.denominator),
+                    p.y.numerator * (s // p.y.denominator))
+            for label, p in zip("ABCD", pts)})
 
     @classmethod
     def of(cls, A, B, C, D) -> "QuadConfig":
@@ -104,14 +115,30 @@ class QuadConfig:
         except AttributeError:
             raise GeometryError(f"vertex must be A/B/C/D, not {label!r}") from None
 
+    def cross(self, tri: str) -> int:
+        """Twice the signed area of three labeled vertices, e.g. "ABC", on
+        the integer points: int_scale**2 times the true value."""
+        pts = self.int_points
+        (px, py), (qx, qy), (rx, ry) = pts[tri[0]], pts[tri[1]], pts[tri[2]]
+        return (qx - px) * (ry - py) - (qy - py) * (rx - px)
+
+    def orient(self, tri: str) -> int:
+        """The sign of `cross` (+1 counterclockwise), written out: hull
+        classification calls it about twenty times per configuration."""
+        pts = self.int_points
+        (px, py), (qx, qy), (rx, ry) = pts[tri[0]], pts[tri[1]], pts[tri[2]]
+        d = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+        return (d > 0) - (d < 0)
+
     def distinct(self) -> bool:
-        pts = self.points()
-        return all(pts[i] != pts[j] for i in range(4) for j in range(i + 1, 4))
+        return len(set(self.int_points.values())) == 4
 
     def sextuple(self) -> DistSextuple:
-        A, B, C, D = self.points()
-        return DistSextuple(sqdist(A, B), sqdist(B, C), sqdist(C, D),
-                            sqdist(D, A), sqdist(A, C), sqdist(B, D))
+        pts, s2 = self.int_points, self.int_scale ** 2
+        return DistSextuple(*(
+            Fraction((pts[u][0] - pts[v][0]) ** 2
+                     + (pts[u][1] - pts[v][1]) ** 2, s2)
+            for u, v in ("AB", "BC", "CD", "DA", "AC", "BD")))
 
     def replace(self, label: str, p: Point) -> "QuadConfig":
         parts = {"A": self.A, "B": self.B, "C": self.C, "D": self.D}
@@ -132,14 +159,10 @@ class SignedAreas:
         return (self.abc, self.abd, self.bcd, self.acd)
 
 
-def _area2(p: Point, q: Point, r: Point) -> Fraction:
-    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-
-
 def signed_areas(cfg: QuadConfig) -> SignedAreas:
-    A, B, C, D = cfg.points()
-    return SignedAreas(_area2(A, B, C), _area2(A, B, D),
-                       _area2(B, C, D), _area2(A, C, D))
+    s2 = cfg.int_scale ** 2
+    return SignedAreas(*(Fraction(cfg.cross(tri), s2)
+                         for tri in _TRIPLE_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +233,6 @@ def unrealizable_patterns() -> frozenset:
     return frozenset(_UNREALIZABLE)
 
 
-def _hom(p: Point) -> tuple[int, int, int]:
-    # integer homogeneous row (x*sy, y*sx, sx*sy); positive row scaling keeps
-    # orientation signs
-    return (p.x.numerator * p.y.denominator,
-            p.y.numerator * p.x.denominator,
-            p.x.denominator * p.y.denominator)
-
-
-def orient_sign(p: Point, q: Point, r: Point) -> int:
-    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = _hom(p), _hom(q), _hom(r)
-    d = (x1 * (y2 * w3 - w2 * y3) - y1 * (x2 * w3 - w2 * x3)
-         + w1 * (x2 * y3 - y2 * x3))
-    return (d > 0) - (d < 0)
-
-
 def classify_hull(cfg: QuadConfig) -> HullClass:
     """Classify by the signed-area sign tables.
 
@@ -232,9 +240,7 @@ def classify_hull(cfg: QuadConfig) -> HullClass:
     mark as not realizable shows up (that would mean an arithmetic bug)."""
     if not cfg.distinct():
         raise GeometryError("classify_hull needs four distinct points")
-    A, B, C, D = cfg.points()
-    signs = (orient_sign(A, B, C), orient_sign(A, B, D),
-             orient_sign(B, C, D), orient_sign(A, C, D))
+    signs = tuple(cfg.orient(tri) for tri in _TRIPLE_NAMES)
     zeros = [i for i, s in enumerate(signs) if s == 0]
     if not zeros:
         if signs in _UNREALIZABLE:

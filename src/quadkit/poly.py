@@ -238,13 +238,6 @@ class Polynomial:
         return not self.terms or (len(self.terms) == 1
                                   and not any(next(iter(self.terms))))
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1
@@ -262,10 +255,6 @@ class Polynomial:
                      reverse: bool = True) -> list[tuple[Mono, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]),
                       reverse=reverse)
-
-    def uses_variable(self, name: str) -> bool:
-        i = self.vars.index(name)
-        return any(m[i] for m in self.terms)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -389,15 +378,6 @@ class Polynomial:
             num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
-
-    def primitive_part(self) -> "Polynomial":
-        cont = self.content()
-        if not cont or cont == 1:
-            return self
-        inv = 1 / cont
-        return Polynomial(self.vars,
-                          {m: c * inv for m, c in self.terms.items()},
-                          _clean=False)
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         if not self.terms:

@@ -334,6 +334,9 @@ class RadicalValue:
         return self._coords == o._coords
 
     def __hash__(self) -> int:
+        # a rational value equals its Fraction, so it must hash like one
+        if self.is_rational():
+            return hash(self.rational_part())
         return hash(frozenset(self._coords.items()))
 
     # -- sign -------------------------------------------------------------------

@@ -181,6 +181,20 @@ def test_hull_tables_supported():
     assert cert.tier2["kinds"]["collinear4"] > 0
 
 
+def test_hull_and_elimination_tier2_pinned():
+    # outputs recorded before orientation and evaluation moved to integers
+    tier2 = cert_hull_tables(seed=3, samples=3000).tier2
+    del tier2["elapsed_ms"]
+    assert tier2 == {"samples": 3000, "mismatches": 0,
+                     "unrealizable_patterns": 0,
+                     "kinds": {"convex4": 2015, "concave3": 937,
+                               "collinear3": 41, "collinear4": 7}}
+    clean = {"samples": 20, "mismatches": 0, "sign_violations": 0,
+             "guard_skips": 0}
+    assert elimination_tier2(ELIM_TARGETS, 20, seed=5) == {
+        t: clean for t in ELIM_TARGETS}
+
+
 def test_oracle_hull_agrees_on_known_shapes():
     sq = QuadConfig.of((0, 0), (1, 0), (1, 1), (0, 1))
     assert oracle_hull(sq) == classify_hull(sq)

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadkit.certificates import _elim_targets
 from quadkit.conditions import (CONDITION_NAMES, DIST_VARS,
                                 condition_poly, condition_sign,
                                 equal_angle_witness, eval_condition,
@@ -13,8 +16,8 @@ from quadkit.conditions import (CONDITION_NAMES, DIST_VARS,
 from quadkit.geometry import (DistSextuple, QuadConfig, gen_cyclic,
                               gen_folded, gen_tilted_kite, random_quad,
                               reflect_over_line)
-from quadkit.poly import Polynomial
-from quadkit.radicals import RadicalValue
+from quadkit.poly import Polynomial, VarSet
+from quadkit.radicals import RadicalValue, sqrt_rational
 
 FOLDED_RECT = DistSextuple(16, 9, 16, 9, 25, Fraction(49, 25))
 
@@ -184,3 +187,74 @@ def test_k_and_s_vanish_iff_p_vanishes():
         ks_zero = (eval_condition("K", d).is_zero
                    and eval_condition("S", d).is_zero)
         assert p_zero == ks_zero
+
+
+# -- the parity-class evaluator against a term-by-term sum ----------------------
+
+def _eval_per_term(p, d):
+    """Reference evaluator: one rational part and one square root per term."""
+    qs = dict(zip("abcdef", d.as_tuple()))
+    total = RadicalValue.from_rational(0)
+    for mono, coeff in p.terms.items():
+        rat = coeff
+        rad = 1
+        for name, exp in zip("abcdef", mono):
+            rat *= qs[name] ** (exp >> 1)
+            if exp & 1:
+                rad *= qs[name]
+        term = RadicalValue.from_rational(rat)
+        if rad != 1:
+            term = term * sqrt_rational(rad)
+        total = total + term
+    return total
+
+
+_CLOSED_FORM_SIDES = tuple(side for _, lhs, rhs in _elim_targets().values()
+                           for side in (lhs, rhs))
+
+# squared distances with mixed denominators up to 10^6
+_sextuples = st.builds(
+    DistSextuple, *[st.builds(Fraction, st.integers(1, 10 ** 6),
+                              st.integers(1, 10 ** 6)) for _ in range(6)])
+
+
+@st.composite
+def _odd_degree_polys(draw):
+    """Non-homogeneous rational polynomials in a..f of odd total degree: one
+    top term of odd degree plus terms of strictly lower degree."""
+    top = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6).filter(
+        lambda m: sum(m) % 2 == 1))
+    coeff = st.builds(Fraction, st.integers(-99, 99).filter(bool),
+                      st.integers(1, 99))
+    terms = {tuple(top): draw(coeff)}
+    lower = st.lists(st.integers(0, 2), min_size=6, max_size=6).filter(
+        lambda m: sum(m) < sum(top))
+    for mono in draw(st.lists(lower, min_size=1, max_size=8)):
+        terms[tuple(mono)] = terms.get(tuple(mono), 0) + draw(coeff)
+    return Polynomial(DIST_VARS, terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_sextuples)
+def test_parity_class_evaluator_matches_per_term_on_named_polys(d):
+    polys = [condition_poly(n) for n in CONDITION_NAMES] + list(
+        _CLOSED_FORM_SIDES)
+    for p in polys:
+        value, ref = eval_poly_on_sextuple(p, d), _eval_per_term(p, d)
+        assert value == ref
+        assert value.sign() == ref.sign()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_odd_degree_polys(), _sextuples)
+def test_parity_class_evaluator_matches_per_term_on_random_polys(p, d):
+    value, ref = eval_poly_on_sextuple(p, d), _eval_per_term(p, d)
+    assert value == ref
+    assert value.sign() == ref.sign()
+
+
+def test_evaluator_rejects_foreign_variables():
+    p = Polynomial.parse("x", VarSet(("x",)))
+    for _ in range(2):  # a rejected polynomial is never cached
+        with pytest.raises(ValueError):
+            eval_poly_on_sextuple(p, FOLDED_RECT)

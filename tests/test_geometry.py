@@ -3,20 +3,24 @@ import random
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from quadkit.certificates import (_degenerate_families, _hulls_agree,
+                                  oracle_hull)
 from quadkit.conditions import eval_condition
-from quadkit.geometry import (DistSextuple, GeometryError, Point, QuadConfig,
-                              cayley_menger, classify_hull, cocircularity,
-                              config_from_obj, config_svg, config_to_obj,
-                              equal_angle_witness, gen_collinear_inorder,
-                              gen_cyclic, gen_folded, gen_reflected,
-                              gen_tilted_kite, midpoint_distances,
+from quadkit.geometry import (DistSextuple, GeometryError, HullClass, Point,
+                              QuadConfig, cayley_menger, classify_hull,
+                              cocircularity, config_from_obj, config_svg,
+                              config_to_obj, equal_angle_witness,
+                              gen_collinear_inorder, gen_cyclic, gen_folded,
+                              gen_reflected, gen_tilted_kite, hull_table,
+                              midpoint_distances,
                               r_condition_is_zero, random_quad, reflect_over_line,
                               rt_condition_is_zero, same_cycle,
                               sextuple_from_obj, sextuple_to_obj, signed_areas,
-                              sqdist, unit_circle_point)
+                              unit_circle_point)
 
 SQUARE = QuadConfig.of((0, 0), (1, 0), (1, 1), (0, 1))
 RECT34 = QuadConfig.of((0, 0), (4, 0), (4, 3), (0, 3))
@@ -25,6 +29,10 @@ CONCAVE = QuadConfig.of((0, 0), (2, 0), (1, 2), (1, Fraction(1, 2)))
 
 def _mid(p, q):
     return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+
+def sqdist(p, q):
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
 
 
 # -- signed areas -------------------------------------------------------------
@@ -102,6 +110,98 @@ def test_convex_iff_coupled_sign_products():
         m = ar.abd * ar.bcd
         convex = classify_hull(cfg).is_convex
         assert convex == ((n > 0 and m > 0) or (n < 0 and m < 0))
+
+
+def _fraction_orient(p, q, r):
+    # reference orientation: the cross product in Fractions
+    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    return (d > 0) - (d < 0)
+
+
+def _reference_hull(cfg):
+    """The sign-table hull read from Fraction orientations."""
+    pts = dict(zip("ABCD", cfg.points()))
+    names = ("ABC", "ABD", "BCD", "ACD")
+    signs = tuple(_fraction_orient(*(pts[v] for v in t)) for t in names)
+    flat = [t for t, sg in zip(names, signs) if sg == 0]
+    if len(flat) == 4:
+        return HullClass("collinear4")
+    if flat:
+        return HullClass("collinear3", triple=flat[0])
+    kind, ring = hull_table()[signs]
+    if kind == "convex4":
+        return HullClass(kind, boundary=ring)
+    return HullClass(kind, boundary=ring,
+                     interior=next(v for v in "ABCD" if v not in ring))
+
+
+def _wide_fraction(rng):
+    return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+
+
+def _orientation_cases():
+    rng = random.Random(61)
+    for _ in range(150):  # denominators up to 10^6
+        yield QuadConfig(*[Point(_wide_fraction(rng), _wide_fraction(rng))
+                           for _ in range(4)])
+    for i in range(150):  # an exact collinear triple, then a free point
+        a = Point(_wide_fraction(rng), _wide_fraction(rng))
+        b = Point(_wide_fraction(rng), _wide_fraction(rng))
+        t, u = _wide_fraction(rng), _wide_fraction(rng)
+        line = [a, b, Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))]
+        free = Point(_wide_fraction(rng), _wide_fraction(rng))
+        if i % 5 == 0:  # or all four on the line
+            free = Point(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
+        pts = line + [free]
+        rng.shuffle(pts)
+        yield QuadConfig(*pts)
+    for _ in range(40):
+        yield gen_collinear_inorder(rng)
+    for family in ("R", "R_T"):  # the degenerate placements
+        for row in _degenerate_families()[family][4]:
+            for _ in range(20):
+                h = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+                k = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+                x = 2 * h + Fraction(rng.randint(1, 10 ** 6),
+                                     rng.randint(1, 10 ** 6))
+                if family == "R_T":  # inside AC, off the apex's foot
+                    x = h * Fraction(rng.choice((rng.randint(1, 499),
+                                                 rng.randint(501, 999))), 500)
+                yield QuadConfig.of(*row[1](h, k, x))
+
+
+def test_integer_orientation_matches_fraction_cross_product():
+    kinds = set()
+    for cfg in _orientation_cases():
+        pts = dict(zip("ABCD", cfg.points()))
+        for tri in permutations("ABCD", 3):
+            assert cfg.orient("".join(tri)) == \
+                _fraction_orient(*(pts[v] for v in tri))
+        assert cfg.distinct()
+        ref = _reference_hull(cfg)
+        assert classify_hull(cfg) == ref
+        assert _hulls_agree(oracle_hull(cfg), ref)
+        kinds.add(ref.kind)
+    assert kinds == {"convex4", "concave3", "collinear3", "collinear4"}
+
+
+def test_distinct_matches_point_inequality_on_unreduced_inputs():
+    pool = ("1/2", "2/4", "-3/6", "-1/2", "0", "0/7", "1", "3/3", "7/10",
+            "700000/1000000")
+    rng = random.Random(62)
+    seen = set()
+    for _ in range(400):
+        cfg = QuadConfig.of(*[(rng.choice(pool), rng.choice(pool))
+                              for _ in range(4)])
+        pts = cfg.points()
+        pairwise = all(pts[i] != pts[j]
+                       for i in range(4) for j in range(i + 1, 4))
+        assert cfg.distinct() == pairwise
+        seen.add(pairwise)
+    assert seen == {True, False}
+    assert not QuadConfig.of(("1/2", 0), ("2/4", "0/3"), (1, 1),
+                             (2, 2)).distinct()
+    assert QuadConfig.of(("1/2", 0), ("2/3", 0), (1, 1), (2, 2)).distinct()
 
 
 # -- determinants ---------------------------------------------------------------

@@ -161,3 +161,24 @@ def test_squarefree_property(n):
     assert s * k * k == n
     for p, e in factorize(s):
         assert e == 1
+
+
+def test_hash_agrees_with_equality():
+    # equal values hash alike, so rational values mix with ints and
+    # Fractions in sets and dict keys
+    two = RadicalValue.from_rational(2)
+    half = RadicalValue.from_rational(Fraction(1, 2))
+    zero = RadicalValue.from_rational(0)
+    for value, plain in ((two, 2), (two, Fraction(4, 2)), (half, Fraction(1, 2)),
+                         (zero, 0), (zero, Fraction(0)),
+                         (sqrt_rational(4), 2), (sqrt_rational(2) * sqrt_rational(2), 2),
+                         (sqrt_rational(3) - sqrt_rational(3), 0)):
+        assert value == plain
+        assert hash(value) == hash(plain)
+        assert plain in {value}
+        assert value in {plain}
+    assert {two: "x"}[2] == "x"
+    assert {0: "z"}[zero] == "z"
+    r2 = sqrt_rational(2)
+    assert r2 in {sqrt_rational(8) / 2}
+    assert hash(1 + r2) == hash(r2 + 1)
