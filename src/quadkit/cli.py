@@ -18,10 +18,10 @@ from . import conditions
 from .certificates import CLAIMS, FAILED, run_certificates
 from .conditions import (CONDITION_NAMES, IDENTITY_NAMES, eval_condition,
                          verify_identity)
-from .geometry import (GeometryError, cayley_menger, classify_hull,
-                       config_from_obj, config_svg, config_to_obj, gen_cyclic,
-                       gen_folded, gen_reflected, gen_tilted_kite,
-                       sextuple_from_obj, sextuple_to_obj)
+from .geometry import (GeometryError, classify_hull, config_from_obj,
+                       config_svg, config_to_obj, gen_cyclic, gen_folded,
+                       gen_reflected, gen_tilted_kite, sextuple_from_obj,
+                       sextuple_to_obj)
 
 
 class CliError(Exception):
@@ -69,9 +69,9 @@ def _condition_rows(d) -> list[dict]:
     return rows
 
 
-def _verdicts(rows: list[dict], planar: bool) -> list[str]:
+def _verdicts(rows: list[dict]) -> list[str]:
     sign = {r["condition"]: r["sign"] for r in rows}
-    if not planar:
+    if sign["CM"] != 0:
         return ["not planar (CM != 0): planar verdicts not applicable"]
     out = []
     if sign["P"] == 0:
@@ -93,12 +93,12 @@ def cmd_classify(args) -> int:
     conditions.run_self_check()
     obj = _read_input(args.input)
     cfg, d = _load_config_or_sextuple(obj)
-    cm = cayley_menger(d)
     rows = _condition_rows(d)
     report = {
-        "cm": str(cm),
+        # the CM row's value is the Cayley-Menger determinant (a rational)
+        "cm": rows[CONDITION_NAMES.index("CM")]["value"],
         "conditions": rows,
-        "verdicts": _verdicts(rows, planar=(cm == 0)),
+        "verdicts": _verdicts(rows),
     }
     if cfg is not None:
         hull = classify_hull(cfg)
@@ -189,9 +189,8 @@ def cmd_generate(args) -> int:
             cfg = gen_reflected(rng)
         d = cfg.sextuple()
         hull = classify_hull(cfg)
-        signs = {name: eval_condition(name, d).sign()
-                 for name in CONDITION_NAMES}
-        rows = [{"condition": k, "sign": v} for k, v in signs.items()]
+        rows = [{"condition": name, "sign": eval_condition(name, d).sign()}
+                for name in CONDITION_NAMES]
         record = {
             "family": args.family,
             "index": i,
@@ -200,9 +199,7 @@ def cmd_generate(args) -> int:
             "hull": {"kind": hull.kind, "boundary": hull.boundary,
                      "interior": hull.interior, "triple": hull.triple},
             "condition_signs": rows,
-            "verdicts": _verdicts(
-                [{"condition": k, "sign": v} for k, v in signs.items()],
-                planar=True),
+            "verdicts": _verdicts(rows),
         }
         print(json.dumps(record, sort_keys=True))
     return 0
@@ -269,10 +266,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GeometryError, ValueError) as exc:
+    except (CliError, GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,6 @@
 """The named condition polynomials in the six mutual distances a..f, their
-identity ledger, and exact evaluators on configurations.
+identity ledger, and exact evaluators on configurations, which factorize each
+scaled squared distance on its own and never a product of them.
 
 Angle conventions (fixed once, to avoid vertex-order confusion): the
 supplementary-angle family R compares alpha = angle CDA with beta = angle CBA;
@@ -15,7 +16,8 @@ from math import lcm
 
 from .geometry import DistSextuple, cayley_menger, equal_angle_witness
 from .poly import Polynomial, VarSet, det
-from .radicals import ZERO, RadicalValue, rad_sqrt, sqrt_rational
+from .radicals import (ZERO, RadicalValue, rad_sqrt, sqrt_rational,
+                       squarefree_decompose)
 
 DIST_VARS = VarSet(("a", "b", "c", "d", "e", "f"))
 
@@ -169,7 +171,8 @@ def eval_poly_on_sextuple(p: Polynomial, d: DistSextuple) -> RadicalValue:
 
     With q_i = n_i / L for integers n_i, each parity class is an integer sum
     times sqrt(L**(len(odd) % 2) * prod of its odd n_i) over a power of L:
-    one square root per class.  Roots of distinct squarefree integers are
+    one square root per class, whose radicand is factored entry by entry
+    (`squarefree_decompose`).  Roots of distinct squarefree integers are
     linearly independent over Q, so the value's form is the term-wise one."""
     qs = d.as_tuple()
     scale = lcm(*(q.denominator for q in qs))
@@ -183,11 +186,12 @@ def eval_poly_on_sextuple(p: Polynomial, d: DistSextuple) -> RadicalValue:
                 t *= n[i] ** h
             acc += t
         if acc:
-            radicand = scale if len(odd) & 1 else 1
-            for i in odd:
-                radicand *= n[i]
-            total = total + sqrt_rational(radicand) * Fraction(
-                acc, den * scale ** exp)
+            factors = [n[i] for i in odd]
+            if len(odd) & 1:
+                factors.append(scale)
+            s, k = squarefree_decompose(*factors)
+            total = total + RadicalValue(
+                {s: Fraction(acc * k, den * scale ** exp)}, _normalized=True)
     return total
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 _SIGN_PREC_START = 64
 _SIGN_PREC_CAP = 65536
 
@@ -129,17 +129,22 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """n = s * k**2 with s squarefree; returns (s, k)."""
-    if n < 1:
-        raise ValueError("squarefree_decompose needs a positive integer")
-    if n == 1:
-        return 1, 1
+def squarefree_decompose(*factors: int) -> tuple[int, int]:
+    """n = s * k**2 with s squarefree, for n the product of the factors;
+    returns (s, k).  Each factor is factorized on its own, never their
+    product, so the prime exponents are the sums over the factors."""
+    if min(factors, default=1) < 1:
+        raise ValueError("squarefree_decompose needs positive integers")
+    n = prod(factors)
     r = isqrt(n)
     if r * r == n:
         return 1, r
+    exps: dict[int, int] = {}
+    for m in factors:
+        for p, e in factorize(m):
+            exps[p] = exps.get(p, 0) + e
     s = k = 1
-    for p, e in factorize(n):
+    for p, e in exps.items():
         if e & 1:
             s *= p
         k *= p ** (e >> 1)
@@ -436,7 +441,6 @@ class RadicalValue:
 
 
 ZERO = RadicalValue.from_rational(0)
-ONE = RadicalValue.from_rational(1)
 
 
 def sqrt_rational(q) -> RadicalValue:
@@ -448,11 +452,8 @@ def sqrt_rational(q) -> RadicalValue:
     if not q:
         return ZERO
     # p/q = sqrt(p*q)/q so the stored radicand is an integer
-    s, k = squarefree_decompose(q.numerator * q.denominator)
-    coeff = Fraction(k, q.denominator)
-    if s == 1:
-        return RadicalValue.from_rational(coeff)
-    return RadicalValue({s: coeff}, _normalized=True)
+    s, k = squarefree_decompose(q.numerator, q.denominator)
+    return RadicalValue({s: Fraction(k, q.denominator)}, _normalized=True)
 
 
 def rad_sqrt(x: RadicalValue) -> RadicalValue:

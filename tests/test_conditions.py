@@ -1,10 +1,13 @@
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadkit import radicals
 from quadkit.certificates import _elim_targets
 from quadkit.conditions import (CONDITION_NAMES, DIST_VARS,
                                 condition_poly, condition_sign,
@@ -258,3 +261,39 @@ def test_evaluator_rejects_foreign_variables():
     for _ in range(2):  # a rejected polynomial is never cached
         with pytest.raises(ValueError):
             eval_poly_on_sextuple(p, FOLDED_RECT)
+
+
+def test_evaluator_factorizes_entries_not_products(monkeypatch):
+    d = random_quad(random.Random(11), span=1000, max_den=100).sextuple()
+    qs = d.as_tuple()
+    scale = lcm(*(q.denominator for q in qs))
+    entries = {q.numerator * (scale // q.denominator) for q in qs} | {scale}
+    seen = []
+    factorize = radicals.factorize
+
+    def recorder(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(radicals, "factorize", recorder)
+    for name in CONDITION_NAMES:
+        eval_condition(name, d)
+    assert seen
+    assert set(seen) <= entries
+
+
+def test_wide_inputs_evaluate_in_bounded_time():
+    # span-1000 coordinates with denominators up to 100 give scaled entries
+    # of up to ~27 digits and class radicands of up to ~100 digits; Pollard
+    # rho on those products took minutes, on the entries it takes ms
+    rng = random.Random(2026)
+    cfgs = [random_quad(rng, span=1000, max_den=100) for _ in range(40)]
+    radicals.factorize.cache_clear()
+    t0 = time.perf_counter()
+    for cfg in cfgs:
+        d = cfg.sextuple()
+        for name in CONDITION_NAMES:
+            value = eval_condition(name, d)
+            assert value.sign() in (-1, 0, 1)
+            assert str(value)
+    assert time.perf_counter() - t0 < 5.0

@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,28 @@ def test_rad_sqrt_denesting():
 def test_squarefree_property(n):
     s, k = squarefree_decompose(n)
     assert s * k * k == n
+    for p, e in factorize(s):
+        assert e == 1
+
+
+def test_squarefree_decompose_of_factors():
+    assert squarefree_decompose(12, 3) == (1, 6)
+    assert squarefree_decompose(6, 10) == (15, 2)
+    assert squarefree_decompose(1, 8, 1) == (2, 2)
+    assert squarefree_decompose(1, 1) == (1, 1)
+    p = 10 ** 6 + 3  # prime
+    assert squarefree_decompose(2 * p, 7, 14 * p) == (1, 14 * p)
+    assert squarefree_decompose(3 * p, 5 * p, 15) == (1, 15 * p)
+    assert squarefree_decompose(2 * p, 3 * p) == (6, p)
+    with pytest.raises(ValueError):
+        squarefree_decompose(4, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=7))
+def test_squarefree_of_factors_matches_product(factors):
+    s, k = squarefree_decompose(*factors)
+    assert (s, k) == squarefree_decompose(prod(factors))
     for p, e in factorize(s):
         assert e == 1
 
