@@ -964,6 +964,7 @@ def run_certificates(claims: Sequence[str] | None = None, seed: int = 0,
             raise ValueError(f"unknown claim {n!r}; known: {', '.join(CLAIMS)}")
     argv = [(n, seed, timeout, samples) for n in names]
     if jobs > 1 and len(names) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker up front, so never more than there are claims
+        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             return list(pool.map(_run_claim, argv))
     return [_run_claim(a) for a in argv]

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 from . import conditions
 from .certificates import CLAIMS, FAILED, run_certificates
@@ -214,6 +215,7 @@ def cmd_render_svg(args) -> int:
     return 0
 
 
+@cache  # one parser per process, built on first use and not at import
 def build_parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(
         prog="quadkit",

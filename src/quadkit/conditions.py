@@ -16,7 +16,7 @@ from math import lcm
 
 from .geometry import DistSextuple, cayley_menger, equal_angle_witness
 from .poly import Polynomial, VarSet, det
-from .radicals import (ZERO, RadicalValue, rad_sqrt, sqrt_rational,
+from .radicals import (RadicalValue, rad_sqrt, sqrt_rational,
                        squarefree_decompose)
 
 DIST_VARS = VarSet(("a", "b", "c", "d", "e", "f"))
@@ -136,6 +136,7 @@ def verify_all_identities() -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 _COMPILED: dict[int, tuple] = {}  # by id; each entry keeps its polynomial
+_LAST: tuple | None = None  # (qs, scale, n, roots) of the latest sextuple
 
 
 def _compile(p: Polynomial) -> tuple:
@@ -173,11 +174,16 @@ def eval_poly_on_sextuple(p: Polynomial, d: DistSextuple) -> RadicalValue:
     times sqrt(L**(len(odd) % 2) * prod of its odd n_i) over a power of L:
     one square root per class, whose radicand is factored entry by entry
     (`squarefree_decompose`).  Roots of distinct squarefree integers are
-    linearly independent over Q, so the value's form is the term-wise one."""
+    linearly independent over Q, so the value's form is the term-wise one.
+    L, the n_i and the class roots of the latest sextuple are kept for reuse."""
+    global _LAST
     qs = d.as_tuple()
-    scale = lcm(*(q.denominator for q in qs))
-    n = [q.numerator * (scale // q.denominator) for q in qs]
-    total = ZERO
+    if _LAST is None or _LAST[0] != qs:
+        scale = lcm(*(q.denominator for q in qs))
+        _LAST = (qs, scale, [q.numerator * (scale // q.denominator)
+                             for q in qs], {})
+    _, scale, n, roots = _LAST
+    coords: dict[int, Fraction] = {}
     for odd, den, exp, rows in _compile(p):
         acc = 0
         for coeff, halves, pad in rows:
@@ -186,13 +192,17 @@ def eval_poly_on_sextuple(p: Polynomial, d: DistSextuple) -> RadicalValue:
                 t *= n[i] ** h
             acc += t
         if acc:
-            factors = [n[i] for i in odd]
-            if len(odd) & 1:
-                factors.append(scale)
-            s, k = squarefree_decompose(*factors)
-            total = total + RadicalValue(
-                {s: Fraction(acc * k, den * scale ** exp)}, _normalized=True)
-    return total
+            root = roots.get(odd)
+            if root is None:
+                factors = [n[i] for i in odd]
+                if len(odd) & 1:
+                    factors.append(scale)
+                root = roots[odd] = squarefree_decompose(*factors)
+            s, k = root
+            c = coords.pop(s, 0) + Fraction(acc * k, den * scale ** exp)
+            if c:
+                coords[s] = c
+    return RadicalValue(coords, _normalized=True)
 
 
 def eval_condition(id: str, d: DistSextuple) -> RadicalValue:

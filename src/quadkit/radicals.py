@@ -5,14 +5,14 @@ A value is stored as a finite map {squarefree positive radicand: Fraction}
 with radicand 1 holding the rational part.  Products of square roots of
 distinct squarefree integers are linearly independent over Q, so the zero
 test is purely symbolic: a value is zero iff the map is empty.  Signs of
-nonzero values are decided by adaptive-precision rational intervals.
+nonzero values are decided by adaptive-precision integer intervals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 _SIGN_PREC_START = 64
 _SIGN_PREC_CAP = 65536
 
@@ -368,18 +368,30 @@ class RadicalValue:
 
     def sign(self) -> int:
         """-1, 0 or +1.  Zero is decided symbolically (empty coordinate map);
-        nonzero signs by interval refinement, doubling precision as needed."""
+        nonzero signs by refining `interval(prec)` scaled to integers by the
+        coefficients' common denominator times 2**prec, doubling prec as
+        needed."""
         if not self._coords:
             return 0
-        if self.is_rational():
-            r = self.rational_part()
-            return -1 if r < 0 else 1
+        if len(self._coords) == 1:
+            (c,) = self._coords.values()
+            return -1 if c < 0 else 1
+        den = lcm(*(c.denominator for c in self._coords.values()))
+        terms = [(s, c.numerator * (den // c.denominator))
+                 for s, c in self._coords.items()]
+        width = sum(abs(n) for s, n in terms if s != 1)  # hi - lo
         prec = _SIGN_PREC_START
         while prec <= _SIGN_PREC_CAP:
-            lo, hi = self.interval(prec)
+            lo = 0
+            for s, n in terms:
+                if s == 1:
+                    lo += n << prec
+                else:
+                    r = isqrt(s << (2 * prec))
+                    lo += n * r if n > 0 else n * (r + 1)
             if lo > 0:
                 return 1
-            if hi < 0:
+            if lo + width < 0:
                 return -1
             prec <<= 1
         raise RadicalSignError(

@@ -231,6 +231,31 @@ def test_run_certificates_parallel_jobs():
     assert all(c.status == SUPPORTED for c in certs)
 
 
+def test_process_pool_never_exceeds_the_claims(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(certificates, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(certificates, "_run_claim", lambda argv: argv[0])
+    assert run_certificates(["degenerate_R", "hull_tables"],
+                            jobs=64) == ["degenerate_R", "hull_tables"]
+    assert run_certificates(list(CLAIMS), jobs=3) == list(CLAIMS)
+    assert run_certificates(["degenerate_R"], jobs=8) == ["degenerate_R"]
+    assert sizes == [2, 3]
+
+
 def test_no_samples_supports_nothing():
     # with no tier-2 sample and a tier 1 too short to finish, a claim has no
     # evidence: INCONCLUSIVE (a finished tier 1 may still certify)

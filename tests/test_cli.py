@@ -1,9 +1,14 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from quadkit import certificates
 from quadkit.cli import main
+from quadkit.geometry import (config_to_obj, gen_cyclic, gen_folded,
+                              gen_reflected, gen_tilted_kite, random_quad,
+                              sextuple_to_obj)
 
 SQUARE = {"A": ["0", "0"], "B": ["1", "0"], "C": ["1", "1"], "D": ["0", "1"]}
 FOLDED_RECT_SEXT = {"qa": "16", "qb": "9", "qc": "16", "qd": "9",
@@ -178,3 +183,44 @@ def test_prove_tier1_respects_timeout(capsys):
     tier1 = json.loads(capsys.readouterr().out)[0]["tier1"]
     spent = sum(tier1.get(k, 0) for k in ("elapsed_ms", "radical_attempt_ms"))
     assert spent < 500, tier1
+
+
+def _pinned_inputs():
+    rng = random.Random(8)
+    items = []
+    for _ in range(3):
+        items += [config_to_obj(random_quad(rng)),
+                  config_to_obj(random_quad(rng, span=1000, max_den=100)),
+                  config_to_obj(gen_cyclic(rng, "ADCB")),
+                  config_to_obj(gen_folded(rng)),
+                  config_to_obj(gen_reflected(rng)),
+                  config_to_obj(gen_tilted_kite(rng, convex=False)),
+                  sextuple_to_obj(random_quad(rng).sextuple())]
+    return items
+
+
+def test_classify_json_output_pinned(tmp_path, capsys):
+    # sha256 of the concatenated reports, recorded before classify moved to
+    # integer signs and per-sextuple class roots: the output is unchanged
+    digest = hashlib.sha256()
+    for i, obj in enumerate(_pinned_inputs()):
+        assert main(["classify", _write(tmp_path, obj, f"{i}.json"),
+                     "--format", "json"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "3cfb2d27ac888b4d329886a6d497eac035138c743abaaa0f9f7b0d8da7d87da1")
+
+
+def test_parser_reuse_leaks_no_values(tmp_path, capsys):
+    # the parser is built once per process: one call's values must not
+    # become the defaults of the next
+    assert main(["classify"]) == 1
+    assert main(["classify", _write(tmp_path, SQUARE)]) == 0
+    assert main(["generate", "cyclic", "--count", "1", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert main(["generate", "cyclic", "--count", "1"]) == 0
+    default = capsys.readouterr().out
+    assert main(["generate", "cyclic", "--count", "1", "--seed", "5"]) == 0
+    assert capsys.readouterr().out != default
+    assert main(["generate", "cyclic", "--count", "1", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == default

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadkit import radicals
+from quadkit import conditions, radicals
 from quadkit.certificates import _elim_targets
 from quadkit.conditions import (CONDITION_NAMES, DIST_VARS,
                                 condition_poly, condition_sign,
@@ -297,3 +297,41 @@ def test_wide_inputs_evaluate_in_bounded_time():
             assert value.sign() in (-1, 0, 1)
             assert str(value)
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_latest_sextuple_memo_gives_fresh_values():
+    rng = random.Random(29)
+    a, b = (random_quad(rng, span=40, max_den=12).sextuple() for _ in range(2))
+    a_copy = DistSextuple(*a.as_tuple())
+    assert a_copy == a and a_copy is not a
+    polys = [condition_poly(n) for n in CONDITION_NAMES] + list(
+        _CLOSED_FORM_SIDES)
+    first = {}
+    for d in (a, b, a, a_copy, b):
+        for i, p in enumerate(polys):
+            value = eval_poly_on_sextuple(p, d)
+            assert value == _eval_per_term(p, d)
+            assert first.setdefault((d, i), value) == value
+
+
+def test_each_class_radicand_is_factored_once_per_sextuple(monkeypatch):
+    rng = random.Random(31)
+    a, b = (random_quad(rng, span=1000, max_den=100).sextuple()
+            for _ in range(2))
+    polys = [condition_poly(n) for n in CONDITION_NAMES] + list(
+        _CLOSED_FORM_SIDES)
+    eval_poly_on_sextuple(polys[0], b)
+    seen = []
+    decompose = conditions.squarefree_decompose
+
+    def recorder(*factors):
+        seen.append(factors)
+        return decompose(*factors)
+
+    monkeypatch.setattr(conditions, "squarefree_decompose", recorder)
+    values = [eval_poly_on_sextuple(p, a) for p in polys]
+    assert seen and len(seen) == len(set(seen))
+    n_seen = len(seen)
+    assert [eval_poly_on_sextuple(p, DistSextuple(*a.as_tuple()))
+            for p in polys] == values
+    assert len(seen) == n_seen

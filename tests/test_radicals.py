@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadkit import radicals
 from quadkit.radicals import (NotRepresentableInQuadraticTower, RadicalValue,
-                              factorize, rad_sqrt, sqrt_rational,
-                              squarefree_decompose)
+                              RadicalSignError, factorize, rad_sqrt,
+                              sqrt_rational, squarefree_decompose)
 
 
 def test_sqrt_rational_examples():
@@ -205,3 +206,66 @@ def test_hash_agrees_with_equality():
     r2 = sqrt_rational(2)
     assert r2 in {sqrt_rational(8) / 2}
     assert hash(1 + r2) == hash(r2 + 1)
+
+
+# -- the integer sign kernel against the Fraction-interval kernel it replaced --
+
+def _fraction_interval_sign(v):
+    """Reference: the sign by Fraction intervals, refined from 64 bits by
+    doubling up to the 65536-bit cap."""
+    if v.is_zero:
+        return 0
+    if v.is_rational():
+        return -1 if v.rational_part() < 0 else 1
+    prec = 64
+    while prec <= 65536:
+        lo, hi = v.interval(prec)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec <<= 1
+    raise RadicalSignError(str(v))
+
+
+def _squarefree(rng):
+    return prod(rng.sample((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 10007,
+                            1000003), k=rng.randint(1, 4)))
+
+
+def _random_values(rng):
+    """Values with 1-5 radicands (1 among them at times), numerators and
+    denominators of up to 40 digits, each also with a rational approximation
+    of itself subtracted, so that the difference nearly cancels."""
+    for _ in range(300):
+        coords = {}
+        for _ in range(rng.randint(1, 5)):
+            s = 1 if rng.random() < 0.2 else _squarefree(rng)
+            coords[s] = Fraction(rng.randint(-10 ** 40, 10 ** 40),
+                                 rng.randint(1, 10 ** rng.randint(1, 40)))
+        v = RadicalValue(coords)
+        yield v
+        if not v.is_rational():
+            lo, hi = v.interval(300)
+            near = ((lo + hi) / 2).limit_denominator(10 ** rng.randint(5, 60))
+            yield v - near
+
+
+def test_integer_sign_matches_fraction_interval_sign():
+    r2 = sqrt_rational(2)
+    pinned = [r2 - Fraction(114243, 80782), r2 - Fraction(99, 70),
+              r2 - Fraction(886731088897, 627013566048),
+              Fraction(-3, 7) * sqrt_rational(5)]
+    for v in [*pinned, *_random_values(random.Random(41))]:
+        assert v.sign() == _fraction_interval_sign(v), v
+
+
+def test_sign_precision_cap_still_raises(monkeypatch):
+    # sqrt(2) - p/q is about 1/(2*sqrt(2)*q**2) = 9e-25: 64 bits undecided
+    close = sqrt_rational(2) - Fraction(886731088897, 627013566048)
+    monkeypatch.setattr(radicals, "_SIGN_PREC_CAP", 64)
+    with pytest.raises(RadicalSignError):
+        close.sign()
+    assert (sqrt_rational(2) - Fraction(99, 70)).sign() == -1
+    monkeypatch.setattr(radicals, "_SIGN_PREC_CAP", 128)
+    assert close.sign() == _fraction_interval_sign(close)
