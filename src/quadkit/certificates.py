@@ -17,14 +17,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
+from math import prod
 from typing import Callable, Sequence
 
 from . import geometry
 from .conditions import (DIST_VARS, condition_poly, eval_condition,
                          eval_poly_on_sextuple, supplementary_witness,
                          equal_angle_witness)
-from .geometry import (DistSextuple, HullClass, Point, QuadConfig,
+from .geometry import (HullClass, Point, QuadConfig,
                        classify_hull, cocircularity, gen_collinear_inorder,
                        gen_cyclic, gen_folded, gen_tilted_kite, hull_table,
                        random_quad, reflect_over_line, same_cycle,
@@ -55,10 +56,6 @@ class Certificate:
     tier1: dict | None = None
     tier2: dict | None = None
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.status != FAILED
 
     def to_obj(self) -> dict:
         return asdict(self)
@@ -241,15 +238,37 @@ def cert_converse_ptolemy(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
 # elimination closed forms
 # ---------------------------------------------------------------------------
 
+_TRIANGLES = ("ABC", "ABD", "BCD", "ACD")  # SignedAreas and hull-table order
+
+# per constraint: the coordinate scheme of tier 1 and the family of tier 2
+_CONSTRAINTS = {"P": (ptolemy_scheme, "cyclic"), "R": (r_scheme, "folded"),
+                "R_T": (t_scheme, "kite")}
+
+# the named area products; any other area spec is a single triangle
+_AREA_PRODUCTS = {"N": ("ABC", "ACD"), "M": ("ABD", "BCD")}
+
+
 @dataclass(frozen=True)
 class _ElimTarget:
-    scheme_builder: Callable[[], CoordinateScheme]
-    constraint: str          # condition that cuts the family (P, R or R_T)
-    area_spec: str           # N, M or a single triangle name
-    power: int               # 1: linear in the area value; 2: compare squares
-    family: str              # sampling family for tier 2
-    sign: int | None         # claimed sign of the target value (0 allowed)
-    guards: tuple = ()       # rational guards, e.g. ("ad!=bc",)
+    """One closed form as the paper states it: on the family cut by the
+    constraint (P, R or R_T), A' * value**power = B', where value is the
+    product of the area spec's doubled signed triangle areas and a single
+    triangle is compared squared.  A sample with A' = 0 is skipped as a
+    guard.  `sign` is the claimed sign of the value; `hulls` the stated
+    hull boundaries of a signed area product, keyed by the sign of ABC."""
+
+    constraint: str
+    area_spec: str
+    sign: int | None = None
+    hulls: dict[int, set[str]] | None = None
+
+    @property
+    def triangles(self) -> tuple[str, ...]:
+        return _AREA_PRODUCTS.get(self.area_spec, (self.area_spec,))
+
+    @property
+    def power(self) -> int:
+        return 2 if len(self.triangles) == 1 else 1
 
 
 @lru_cache(maxsize=1)
@@ -276,32 +295,29 @@ def _elim_targets() -> dict[str, tuple[_ElimTarget, Polynomial, Polynomial]]:
     t_ad_bc = four * (a * d - b * c) ** 2
     t_ac_bd = four * (a * c - b * d) ** 2
     table: dict[str, tuple[_ElimTarget, Polynomial, Polynomial]] = {
-        "N_ptolemy": (_ElimTarget(ptolemy_scheme, "P", "N", 1, "cyclic", 1),
-                      t_ab_cd, abcd * heron),
-        "M_ptolemy": (_ElimTarget(ptolemy_scheme, "P", "M", 1, "cyclic", 1),
-                      t_bc_ad, abcd * heron),
-        "N_R": (_ElimTarget(r_scheme, "R", "N", 1, "folded", -1),
+        "N_ptolemy": (_ElimTarget("P", "N", 1), t_ab_cd, abcd * heron),
+        "M_ptolemy": (_ElimTarget("P", "M", 1), t_bc_ad, abcd * heron),
+        "N_R": (_ElimTarget("R", "N", -1,
+                            {1: {"ABC", "CAD", "ABDC", "ADBC"},
+                             -1: {"ACB", "CDA", "ACDB", "ACBD"}}),
                 t_ab_cd, -1 * abcd * heron),
-        "dABD_R": (_ElimTarget(r_scheme, "R", "ABD", 2, "folded", None),
+        "dABD_R": (_ElimTarget("R", "ABD"),
                    t_ab_cd * (a * c + b * d) ** 2,
                    heron * (b * b - c * c) ** 2 * d * d * a * a),
-        "dBCD_R": (_ElimTarget(r_scheme, "R", "BCD", 2, "folded", None),
+        "dBCD_R": (_ElimTarget("R", "BCD"),
                    t_ab_cd * (a * c + b * d) ** 2,
                    heron * (a * a - d * d) ** 2 * c * c * b * b),
-        "M_T": (_ElimTarget(t_scheme, "R_T", "M", 1, "kite", 1, ("ad!=bc",)),
+        "M_T": (_ElimTarget("R_T", "M", 1, {1: {"ABCD", "ABC", "CAD"},
+                                            -1: {"ADCB", "ACB", "CDA"}}),
                 t_ad_bc, -1 * abcd * gamma),
-        "dABD_T": (_ElimTarget(t_scheme, "R_T", "ABD", 2, "kite", None,
-                               ("ad!=bc",)),
+        "dABD_T": (_ElimTarget("R_T", "ABD"),
                    t_ad_bc, -1 * gamma * d * d * a * a),
-        "dBCD_T": (_ElimTarget(t_scheme, "R_T", "BCD", 2, "kite", None,
-                               ("ad!=bc",)),
+        "dBCD_T": (_ElimTarget("R_T", "BCD"),
                    t_ad_bc, -1 * gamma * c * c * b * b),
-        "dABC_T": (_ElimTarget(t_scheme, "R_T", "ABC", 2, "kite", None,
-                               ("ad!=bc", "ac!=bd")),
+        "dABC_T": (_ElimTarget("R_T", "ABC"),
                    t_ac_bd * (a * d - b * c) ** 2,
                    -1 * gamma * (c * c - d * d) ** 2 * b * b * a * a),
-        "dACD_T": (_ElimTarget(t_scheme, "R_T", "ACD", 2, "kite", None,
-                               ("ad!=bc", "ac!=bd")),
+        "dACD_T": (_ElimTarget("R_T", "ACD"),
                    t_ac_bd * (a * d - b * c) ** 2,
                    -1 * gamma * (a * a - b * b) ** 2 * d * d * c * c),
     }
@@ -312,30 +328,15 @@ ELIM_TARGETS = ("N_ptolemy", "M_ptolemy", "N_R", "dABD_R", "dBCD_R",
                 "M_T", "dABD_T", "dBCD_T", "dABC_T", "dACD_T")
 
 
-def _target_area_poly(scheme: CoordinateScheme, area_spec: str) -> Polynomial:
-    if area_spec == "N":
-        return scheme.area2("ABC") * scheme.area2("ACD")
-    if area_spec == "M":
-        return scheme.area2("ABD") * scheme.area2("BCD")
-    return scheme.area2(area_spec)
-
-
-def _target_area_value(cfg: QuadConfig, area_spec: str) -> Fraction:
-    ar = signed_areas(cfg)
-    if area_spec == "N":
-        return ar.abc * ar.acd
-    if area_spec == "M":
-        return ar.abd * ar.bcd
-    return {"ABC": ar.abc, "ABD": ar.abd, "BCD": ar.bcd, "ACD": ar.acd}[area_spec]
-
-
-def _guards_ok(d: DistSextuple, guards: tuple) -> bool:
-    for g in guards:
-        if g == "ad!=bc" and d.qa * d.qd == d.qb * d.qc:
-            return False
-        if g == "ac!=bd" and d.qa * d.qc == d.qb * d.qd:
-            return False
-    return True
+def _hull_sets(tgt: _ElimTarget) -> dict[int, set[str]]:
+    """Hull boundaries the sign tables allow when the target's triangle
+    signs multiply to its claimed sign, keyed by the sign of ABC."""
+    out: dict[int, set[str]] = {1: set(), -1: set()}
+    for signs, (kind, hull) in hull_table().items():
+        by_tri = dict(zip(_TRIANGLES, signs))
+        if prod(by_tri[t] for t in tgt.triangles) == tgt.sign:
+            out[by_tri["ABC"]].add(hull)
+    return out
 
 
 def _family_samples(family: str, rng: random.Random):
@@ -357,37 +358,57 @@ def _family_samples(family: str, rng: random.Random):
 def elimination_tier2(targets: Sequence[str], samples: int = 1000,
                       seed: int = 0) -> dict[str, dict]:
     """Exact sampling check of the closed forms: generates each family once
-    and, per sample, compares A'(a..d) * value (or value^2) with B'(a..d) in
-    the radical field, plus the claimed signs.  Returns per-target stats."""
+    and, per sample with A' != 0, compares A'(a..d) * value**power with
+    B'(a..d) in the radical field and checks the claimed sign; a target with
+    stated hull sets also checks the hull against the sets the sign tables
+    allow, and a signed R_T target -Gamma >= 0.  Returns per-target stats."""
     table = _elim_targets()
     by_family: dict[str, list[str]] = {}
+    results: dict[str, dict] = {}
+    allowed: dict[str, dict[int, set[str]]] = {}
     for t in targets:
         if t not in table:
             raise ValueError(f"unknown elimination target {t!r}")
-        by_family.setdefault(table[t][0].family, []).append(t)
-    results = {t: {"samples": 0, "mismatches": 0, "sign_violations": 0,
-                   "guard_skips": 0} for t in targets}
+        tgt = table[t][0]
+        by_family.setdefault(_CONSTRAINTS[tgt.constraint][1], []).append(t)
+        results[t] = {"samples": 0, "mismatches": 0, "sign_violations": 0,
+                      "guard_skips": 0}
+        if tgt.hulls is not None:
+            allowed[t] = _hull_sets(tgt)
+            results[t]["hull_violations"] = 0
+        if tgt.constraint == "R_T" and tgt.sign is not None:
+            results[t]["gamma_sign_violations"] = 0
     for family, fam_targets in by_family.items():
         stream = _family_samples(family, random.Random(seed))
         while any(results[t]["samples"] < samples for t in fam_targets):
             cfg = next(stream)
             d = cfg.sextuple()
+            s2 = cfg.int_scale ** 2
             for t in fam_targets:
                 tgt, lhs_poly, rhs_poly = table[t]
-                if results[t]["samples"] >= samples:
+                stats = results[t]
+                if stats["samples"] >= samples:
                     continue
-                if not _guards_ok(d, tgt.guards):
-                    results[t]["guard_skips"] += 1
+                lhs = eval_poly_on_sextuple(lhs_poly, d)
+                if lhs.is_zero:
+                    stats["guard_skips"] += 1
                     continue
-                results[t]["samples"] += 1
-                value = _target_area_value(cfg, tgt.area_spec)
-                x = value if tgt.power == 1 else value * value
-                lhs = eval_poly_on_sextuple(lhs_poly, d) * x
+                stats["samples"] += 1
+                value = prod(Fraction(cfg.cross(tri), s2)
+                             for tri in tgt.triangles)
                 rhs = eval_poly_on_sextuple(rhs_poly, d)
-                if lhs != rhs:
-                    results[t]["mismatches"] += 1
+                if lhs * value ** tgt.power != rhs:
+                    stats["mismatches"] += 1
                 if tgt.sign is not None and tgt.sign * value < 0:
-                    results[t]["sign_violations"] += 1
+                    stats["sign_violations"] += 1
+                if t in allowed:
+                    # a collinear hull has no boundary to check
+                    hull = classify_hull(cfg).boundary
+                    if hull and hull not in allowed[t][cfg.orient("ABC")]:
+                        stats["hull_violations"] += 1
+                if ("gamma_sign_violations" in stats and
+                        eval_poly_on_sextuple(_gamma_poly(), d).sign() > 0):
+                    stats["gamma_sign_violations"] += 1
     return results
 
 
@@ -397,8 +418,8 @@ def _tier1_elimination(target: str, timeout: float) -> dict:
     `timeout`."""
     t0 = time.monotonic()
     tgt, lhs_poly, rhs_poly = _elim_targets()[target]
-    scheme = tgt.scheme_builder()
-    area = _target_area_poly(scheme, tgt.area_spec)
+    scheme = _CONSTRAINTS[tgt.constraint][0]()
+    area = prod(scheme.area2(tri) for tri in tgt.triangles)
     rel = (lhs_poly.on_vars(scheme.vars) * area ** tgt.power
            - rhs_poly.on_vars(scheme.vars))
     gens = list(scheme.generators) + [_dist(tgt.constraint)]
@@ -412,19 +433,6 @@ def _tier1_elimination(target: str, timeout: float) -> dict:
             "relation_on_variety": ok, "elapsed_ms": _ms(t0)}
 
 
-def _stated_hull_sets(n_or_m: str) -> dict[int, set[str]]:
-    """Hull strings compatible with the sign constraint derived from the
-    tables: N <= 0 couples ABC against ACD; M >= 0 couples ABD with BCD."""
-    out: dict[int, set[str]] = {1: set(), -1: set()}
-    for signs, (kind, hull) in hull_table().items():
-        abc, abd, bcd, acd = signs
-        if n_or_m == "N<=0" and abc * acd < 0:
-            out[abc].add(hull)
-        if n_or_m == "M>=0" and abd * bcd > 0:
-            out[abc].add(hull)
-    return out
-
-
 def cert_elimination_formula(target: str, seed: int = 0,
                              timeout: float = DEFAULT_TIMEOUT,
                              samples: int = 1000) -> Certificate:
@@ -434,8 +442,8 @@ def cert_elimination_formula(target: str, seed: int = 0,
         raise ValueError(f"unknown elimination target {target!r}; "
                          f"one of {', '.join(ELIM_TARGETS)}")
     t0 = time.monotonic()
-    tgt, lhs_poly, rhs_poly = _elim_targets()[target]
-    scheme = tgt.scheme_builder()
+    tgt = _elim_targets()[target][0]
+    scheme = _CONSTRAINTS[tgt.constraint][0]()
     cert = Certificate(
         f"elim_{target}",
         f"closed form for {tgt.area_spec} on the {tgt.constraint} = 0 "
@@ -451,46 +459,20 @@ def cert_elimination_formula(target: str, seed: int = 0,
     t2 = time.monotonic()
     stats = elimination_tier2([target], samples=samples, seed=seed)[target]
     stats["elapsed_ms"] = _ms(t2)
-
-    if target in ("N_R", "M_T"):
-        # hull classes observed on the family must stay within the sets the
-        # sign tables allow; also check those sets against the expected lists
-        constraint_kind = "N<=0" if target == "N_R" else "M>=0"
-        derived = _stated_hull_sets(constraint_kind)
-        expected = ({1: {"ABC", "CAD", "ABDC", "ADBC"},
-                     -1: {"ACB", "CDA", "ACDB", "ACBD"}}
-                    if target == "N_R" else
-                    {1: {"ABCD", "ABC", "CAD"},
-                     -1: {"ADCB", "ACB", "CDA"}})
+    cert.tier2 = stats
+    violations = stats["mismatches"] + sum(
+        v for k, v in stats.items() if k.endswith("violations"))
+    if tgt.hulls is not None:
+        # the stated hull sets must be the ones the sign tables allow
+        derived = _hull_sets(tgt)
+        claim = f"{tgt.area_spec}{'<=' if tgt.sign < 0 else '>='}0"
         cert.notes.append(
-            f"hull sets from the sign tables under {constraint_kind}: "
+            f"hull sets from the sign tables under {claim}: "
             f"{ {k: sorted(v) for k, v in derived.items()} }; "
             + ("matches the expected statement lists"
-               if derived == expected else
-               f"MISMATCH vs expected {expected}"))
-        fam = islice(_family_samples(tgt.family, random.Random(seed + 1)),
-                     min(samples, 200))
-        bad_hulls = 0
-        for cfg in fam:
-            h = classify_hull(cfg)
-            if h.kind.startswith("collinear"):
-                continue
-            if h.boundary not in derived[cfg.orient("ABC")]:
-                bad_hulls += 1
-        stats["hull_violations"] = bad_hulls
-    if tgt.constraint == "R_T" and tgt.sign is not None:
-        # the sign claim rides on -Gamma >= 0 for the family
-        fam = islice(_family_samples(tgt.family, random.Random(seed + 2)),
-                     min(samples, 200))
-        gamma = _gamma_poly()
-        gbad = sum(1 for cfg in fam
-                   if eval_poly_on_sextuple(gamma, cfg.sextuple()).sign() > 0)
-        stats["gamma_sign_violations"] = gbad
-    cert.tier2 = stats
-
-    violations = (stats["mismatches"] + stats["sign_violations"]
-                  + stats.get("hull_violations", 0)
-                  + stats.get("gamma_sign_violations", 0))
+               if derived == tgt.hulls else
+               f"MISMATCH vs expected {tgt.hulls}"))
+        violations += derived != tgt.hulls
     cert.status = _status(cert.tier1.get("relation_on_variety"), True,
                           stats["samples"], violations)
     cert.elapsed_ms = _ms(t0)
@@ -518,17 +500,14 @@ def _parallelogram(rng: random.Random) -> QuadConfig:
 
 
 def _rhombus(rng: random.Random) -> QuadConfig:
-    while True:
-        p = rng.randint(1, 9)
-        q = rng.randint(1, 9)
-        A = Point(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
-        # legs (p, q) and (p, -q) have equal length
-        B = Point(A.x + p, A.y + q)
-        C = Point(B.x + p, B.y - q)
-        D = Point(A.x + p, A.y - q)
-        cfg = QuadConfig(A, B, C, D)
-        if cfg.distinct() and q:
-            return cfg
+    # p, q >= 1: four distinct points, legs (p, q) and (p, -q) of equal length
+    p = rng.randint(1, 9)
+    q = rng.randint(1, 9)
+    A = Point(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
+    B = Point(A.x + p, A.y + q)
+    C = Point(B.x + p, B.y - q)
+    D = Point(A.x + p, A.y - q)
+    return QuadConfig(A, B, C, D)
 
 
 def _symmetric_kite(rng: random.Random) -> QuadConfig:
@@ -630,9 +609,6 @@ def _frac_inside(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
 def _apex(rng: random.Random) -> tuple[Fraction, Fraction]:
     return (Fraction(rng.randint(1, 9), rng.randint(1, 3)),
             Fraction(rng.randint(1, 9), rng.randint(1, 3)))
-
-
-_TRIANGLES = ("ABC", "ABD", "BCD", "ACD")  # the order of SignedAreas
 
 
 @lru_cache(maxsize=1)

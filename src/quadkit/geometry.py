@@ -392,36 +392,29 @@ def gen_cyclic(seed_or_rng, order: str = "ABCD") -> QuadConfig:
     if sorted(order) != ["A", "B", "C", "D"]:
         raise GeometryError(f"order must be a permutation of ABCD: {order!r}")
     rng = _rng(seed_or_rng)
-    while True:
-        ts = set()
-        while len(ts) < 4:
-            ts.add(_rand_fraction(rng, -30, 30, 10))
-        t_sorted = sorted(ts)
-        pts = {label: unit_circle_point(t_sorted[i])
-               for i, label in enumerate(order)}
-        cfg = QuadConfig(pts["A"], pts["B"], pts["C"], pts["D"])
-        if cfg.distinct():
-            return cfg
+    ts = set()
+    while len(ts) < 4:
+        ts.add(_rand_fraction(rng, -30, 30, 10))
+    # the circle parametrization is injective: distinct ts, distinct points
+    pts = {label: unit_circle_point(t)
+           for label, t in zip(order, sorted(ts))}
+    return QuadConfig(pts["A"], pts["B"], pts["C"], pts["D"])
 
 
 def gen_collinear_inorder(seed_or_rng) -> QuadConfig:
     """Four points in order on a rational line (Ptolemy's degenerate case)."""
     rng = _rng(seed_or_rng)
-    while True:
-        xs = set()
-        while len(xs) < 4:
-            xs.add(_rand_fraction(rng, -20, 20, 8))
-        x1, x2, x3, x4 = sorted(xs)
-        # random rational direction keeps the family from being axis-special
-        t = _rand_fraction(rng, -5, 5, 4)
-        den = 1 + t * t
-        ux, uy = (1 - t * t) / den, 2 * t / den
-        ox = _rand_fraction(rng, -5, 5, 4)
-        oy = _rand_fraction(rng, -5, 5, 4)
-        pts = [Point(ox + x * ux, oy + x * uy) for x in (x1, x2, x3, x4)]
-        cfg = QuadConfig(*pts)
-        if cfg.distinct():
-            return cfg
+    xs = set()
+    while len(xs) < 4:
+        xs.add(_rand_fraction(rng, -20, 20, 8))
+    # random rational direction keeps the family from being axis-special; a
+    # unit direction sends distinct xs to distinct points
+    t = _rand_fraction(rng, -5, 5, 4)
+    den = 1 + t * t
+    ux, uy = (1 - t * t) / den, 2 * t / den
+    ox = _rand_fraction(rng, -5, 5, 4)
+    oy = _rand_fraction(rng, -5, 5, 4)
+    return QuadConfig(*(Point(ox + x * ux, oy + x * uy) for x in sorted(xs)))
 
 
 def gen_folded(seed_or_rng) -> QuadConfig:

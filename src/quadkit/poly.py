@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Mono = tuple  # exponent tuple, one nonnegative int per variable
@@ -367,17 +366,6 @@ class Polynomial:
         return bool(self.terms)
 
     # -- normalization ----------------------------------------------------
-
-    def content(self) -> Fraction:
-        """gcd of numerators over lcm of denominators (0 for the zero poly)."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         if not self.terms:

@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 _SIGN_PREC_START = 64
 _SIGN_PREC_CAP = 65536
+_RHO_STEPS = 1 << 18
 
 
 class RadicalSignError(ArithmeticError):
@@ -71,13 +72,22 @@ def _is_probable_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant,
-    deterministic parameter sweep for reproducibility)."""
+    deterministic parameter sweep for reproducibility).  Raises ValueError
+    rather than start a round that would take the whole sweep past
+    `_RHO_STEPS` iterations: a number whose smallest factor is out of that
+    reach is refused, in bounded time."""
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 50):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            steps += 2 * r  # a round advances y at most 2r times
+            if steps > _RHO_STEPS:
+                raise ValueError(f"cannot factor a {n.bit_length()}-bit "
+                                 f"number within {_RHO_STEPS} Pollard rho "
+                                 "steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -102,7 +112,8 @@ def _pollard_rho(n: int) -> int:
 
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as sorted ((p, e), ...)."""
+    """Prime factorization of n >= 1 as sorted ((p, e), ...); ValueError
+    when a composite part is out of Pollard rho's reach."""
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out: dict[int, int] = {}

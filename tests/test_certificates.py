@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from quadkit import certificates
-from quadkit.certificates import (CERTIFIED, CLAIMS, INCONCLUSIVE, SUPPORTED,
-                                  TIER2_ONLY, cert_converse_ptolemy,
+from quadkit.certificates import (CERTIFIED, CLAIMS, FAILED, INCONCLUSIVE,
+                                  SUPPORTED, TIER2_ONLY, cert_converse_ptolemy,
                                   cert_degenerate_cases,
                                   cert_elimination_formula, cert_hull_tables,
                                   cert_parallelogram_case,
@@ -191,8 +192,29 @@ def test_hull_and_elimination_tier2_pinned():
                                "collinear3": 41, "collinear4": 7}}
     clean = {"samples": 20, "mismatches": 0, "sign_violations": 0,
              "guard_skips": 0}
+    checks = {"N_R": {"hull_violations": 0},
+              "M_T": {"hull_violations": 0, "gamma_sign_violations": 0}}
     assert elimination_tier2(ELIM_TARGETS, 20, seed=5) == {
-        t: clean for t in ELIM_TARGETS}
+        t: {**clean, **checks.get(t, {})} for t in ELIM_TARGETS}
+    # the third kite of this stream has a = c and b = d, so ad = bc and
+    # A' = 0 on both targets
+    guarded = dict(clean, samples=60, guard_skips=1)
+    assert elimination_tier2(["M_T", "dABC_T"], 60, seed=38) == {
+        "M_T": {**guarded, **checks["M_T"]}, "dABC_T": guarded}
+
+
+def test_hull_set_mismatch_fails_the_claim(monkeypatch):
+    table = dict(certificates._elim_targets())
+    tgt, lhs, rhs = table["N_R"]
+    swapped = dataclasses.replace(tgt, hulls={1: tgt.hulls[-1],
+                                              -1: tgt.hulls[1]})
+    table["N_R"] = (swapped, lhs, rhs)
+    monkeypatch.setattr(certificates, "_elim_targets", lambda: table)
+    cert = cert_elimination_formula("N_R", seed=1, timeout=0, samples=10)
+    assert cert.status == FAILED
+    assert "MISMATCH" in cert.notes[0]
+    # the sampled hulls still fit the sets the sign tables allow
+    assert cert.tier2["hull_violations"] == 0
 
 
 def test_oracle_hull_agrees_on_known_shapes():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import signal
 
 import pytest
 
@@ -163,6 +164,29 @@ def test_classify_rejects_bad_coordinate(tmp_path, capsys, bad):
     assert main(["classify", _write(tmp_path, bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("hostile", [
+    # squared distances of up to 60 digits
+    {"A": ["1e30", "0"], "B": ["1", "0"], "C": ["0", "1"], "D": ["2", "3"]},
+    # qa is the product of two 16-digit primes
+    {"qa": "3000000000000148000000000001369", "qb": "2", "qc": "3",
+     "qd": "5", "qe": "7", "qf": "11"}])
+def test_classify_refuses_unfactorable_input_in_bounded_time(tmp_path, capsys,
+                                                             hostile):
+    def expire(signum, frame):
+        raise AssertionError("classify ran past 2 s")
+    path = _write(tmp_path, hostile)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        rc = main(["classify", path])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Pollard rho" in err
 
 
 @pytest.mark.parametrize("flags", [["--timeout", "-1"], ["--timeout", "inf"],
