@@ -16,6 +16,7 @@ from math import gcd, isqrt, lcm, prod
 _SIGN_PREC_START = 64
 _SIGN_PREC_CAP = 65536
 _RHO_STEPS = 1 << 18
+_RHO_BITS = 256
 
 
 class RadicalSignError(ArithmeticError):
@@ -113,7 +114,8 @@ def _pollard_rho(n: int) -> int:
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as sorted ((p, e), ...); ValueError
-    when a composite part is out of Pollard rho's reach."""
+    when a composite part is out of Pollard rho's reach, at once when it has
+    more than `_RHO_BITS` bits (each rho step would square it)."""
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out: dict[int, int] = {}
@@ -135,6 +137,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         if r * r == m:
             stack.extend((r, r))
             continue
+        if m.bit_length() > _RHO_BITS:
+            raise ValueError(f"cannot factor a {m.bit_length()}-bit number: "
+                             f"Pollard rho takes at most {_RHO_BITS} bits")
         f = _pollard_rho(m)
         stack.extend((f, m // f))
     return tuple(sorted(out.items()))

@@ -189,6 +189,36 @@ def test_classify_refuses_unfactorable_input_in_bounded_time(tmp_path, capsys,
     assert err.startswith("error:") and "Pollard rho" in err
 
 
+@pytest.mark.parametrize("oversized", [
+    # squared distances of about 2660 bits
+    {"A": ["1e400", "0"], "B": ["1", "0"], "C": ["0", "1"], "D": ["2", "3"]},
+    # 31-digit numerators over eight distinct 31-digit denominators
+    {"A": ["1234567890123456789012345678901/9876543210987654321098765432117",
+           "3141592653589793238462643383279/2718281828459045235360287471353"],
+     "B": ["1618033988749894848204586834365/1414213562373095048801688724209",
+           "1732050807568877293527446341505/2236067977499789696409173668731"],
+     "C": ["2645751311064590590501615753639/3316624790355399849114932736671",
+           "3605551275463989293119221267470/4123105625617660599821704512667"],
+     "D": ["4358898943540673552236981983859/4795831523312719541597438064162",
+           "5196152422706632045595400574131/5567764362830021938826443066541"]}])
+def test_classify_refuses_oversized_input_at_once(tmp_path, capsys,
+                                                  oversized):
+    # a composite too long for Pollard rho is refused before rho starts
+    def expire(signum, frame):
+        raise AssertionError("classify ran past 0.5 s")
+    path = _write(tmp_path, oversized)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        rc = main(["classify", path])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Pollard rho takes at most" in err
+
+
 @pytest.mark.parametrize("flags", [["--timeout", "-1"], ["--timeout", "inf"],
                                    ["--timeout", "nan"], ["--jobs", "0"],
                                    ["--samples", "-1"]])

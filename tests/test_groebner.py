@@ -239,7 +239,7 @@ def test_exponents_beyond_initial_field_width():
     from quadkit.groebner import (_Gen, _int_terms, _Overflow, _Packing,
                                   _spoly_int)
     pk = _Packing(LEX, 2, 16)
-    a, b = (_Gen(_int_terms(_p(t), pk)[0], pk)
+    a, b = (_Gen(_int_terms(_p(t), pk)[0])
             for t in ("x - y^20000", "x*y^20000 - 1"))
     with pytest.raises(_Overflow):
         _spoly_int(a, b, b.lt, pk.guard)
@@ -271,6 +271,66 @@ def test_full_basis_hashes_pinned():
             conditions.condition_poly(cond).on_vars(scheme.vars)]
         texts = buchberger(gens, GREVLEX).texts()
         assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+
+
+def test_elimination_bases_hashes_pinned():
+    # sha256 of the newline-joined texts() of the block-order bases behind
+    # elimination_ideal (u, v, w, z dropped) and of the elimination ideal
+    # they share, the monic Cayley-Menger polynomial
+    import hashlib
+
+    from quadkit import certificates
+    digest = lambda texts: hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    drop = ("u", "v", "w", "z")
+    expected = {
+        "ptolemy_scheme": "0574e349104dd7a3972d5ec6d940f301"
+                          "28e979b69a66250503ade2de5c91ba3b",
+        "r_scheme": "0a56ba32ba5d3e59da57757047d25374"
+                    "81d90f4a6a6f9dacc8ef0356dfb8925a",
+        "t_scheme": "3306dce7596ff36bd62a0e90372db62f"
+                    "41d015e43d437b514670d41bc39a6838"}
+    for builder, want in expected.items():
+        gens = list(getattr(certificates, builder)().generators)
+        names = gens[0].vars.names
+        work = VarSet(drop + tuple(n for n in names if n not in drop))
+        gb = buchberger([g.on_vars(work) for g in gens],
+                        MonomialOrder.block_elimination(len(drop)))
+        assert digest(gb.texts()) == want, builder
+        elim = elimination_ideal(gens, drop)
+        assert digest(g.to_text(GREVLEX) for g in elim) == (
+            "848dc451514773297a36b1c2a9d142ce"
+            "eb0a7152cf2eb8894c598d1d25bd7acd"), builder
+
+
+def test_pair_selection_reduction_counts(monkeypatch):
+    # sugar selection under block orders cuts the S-pair reductions of the
+    # elimination bases below the normal strategy's 226/122/176; the grevlex
+    # radical routes keep the normal strategy (291 and 195 reductions)
+    import quadkit.groebner as groebner
+    from quadkit import certificates
+    calls = 0
+    kernel = groebner._reduce_int
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_reduce_int", counting)
+
+    def count(run):
+        nonlocal calls
+        calls = 0
+        run()
+        return calls
+
+    for builder, normal in (("ptolemy_scheme", 226), ("r_scheme", 122),
+                            ("t_scheme", 176)):
+        gens = list(getattr(certificates, builder)().generators)
+        assert count(lambda: elimination_ideal(
+            gens, ("u", "v", "w", "z"))) < normal, builder
+    assert count(lambda: certificates.cert_converse_ptolemy(samples=0)) <= 291
+    assert count(lambda: certificates._tier1_elimination("N_R", 30)) <= 195
 
 
 def test_reduced_bases_match_sympy():
