@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import combinations, count, permutations
 from math import prod
 from typing import Callable, Sequence
 
@@ -25,11 +25,11 @@ from . import geometry
 from .conditions import (DIST_VARS, condition_poly, eval_condition,
                          eval_poly_on_sextuple, supplementary_witness,
                          equal_angle_witness)
-from .geometry import (HullClass, Point, QuadConfig,
+from .geometry import (TRIANGLES, HullClass, Point, QuadConfig,
                        classify_hull, cocircularity, gen_collinear_inorder,
-                       gen_cyclic, gen_folded, gen_tilted_kite, hull_table,
-                       random_quad, reflect_over_line, same_cycle,
-                       signed_areas)
+                       gen_cyclic, gen_folded, gen_tilted_kite,
+                       hull_from_signs, hull_table, random_quad,
+                       reflect_over_line, same_cycle, signed_areas)
 from .groebner import GroebnerTimeout, buchberger, radical_membership
 from .poly import GREVLEX, Polynomial, VarSet, det
 
@@ -238,8 +238,6 @@ def cert_converse_ptolemy(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
 # elimination closed forms
 # ---------------------------------------------------------------------------
 
-_TRIANGLES = ("ABC", "ABD", "BCD", "ACD")  # SignedAreas and hull-table order
-
 # per constraint: the coordinate scheme of tier 1 and the family of tier 2
 _CONSTRAINTS = {"P": (ptolemy_scheme, "cyclic"), "R": (r_scheme, "folded"),
                 "R_T": (t_scheme, "kite")}
@@ -333,7 +331,7 @@ def _hull_sets(tgt: _ElimTarget) -> dict[int, set[str]]:
     signs multiply to its claimed sign, keyed by the sign of ABC."""
     out: dict[int, set[str]] = {1: set(), -1: set()}
     for signs, (kind, hull) in hull_table().items():
-        by_tri = dict(zip(_TRIANGLES, signs))
+        by_tri = dict(zip(TRIANGLES, signs))
         if prod(by_tri[t] for t in tgt.triangles) == tgt.sign:
             out[by_tri["ABC"]].add(hull)
     return out
@@ -625,7 +623,7 @@ def _degenerate_families() -> dict[str, tuple]:
         "R": (geometry.r_condition_is_zero, "qf", _frac_outside, True, (
             ("all_collinear",
              lambda h, k, x: ((x, 0), (2 * h, 0), (h, 0), (0, 0)),
-             _TRIANGLES, ("qb", "qc"), None, _heron_poly(), False),
+             TRIANGLES, ("qb", "qc"), None, _heron_poly(), False),
             ("case2", lambda h, k, x: ((x, 0), (2 * h, 0), (h, k), (0, 0)),
              ("ABD",), ("qb", "qc"), supplementary_witness,
              condition_poly("K"), False),
@@ -635,7 +633,7 @@ def _degenerate_families() -> dict[str, tuple]:
         "R_T": (geometry.rt_condition_is_zero, "qe", _frac_inside, False, (
             ("all_collinear",
              lambda h, k, x: ((0, 0), (x, 0), (2 * h, 0), (h, 0)),
-             _TRIANGLES, ("qc", "qd"), None, _gamma_poly(), False),
+             TRIANGLES, ("qc", "qd"), None, _gamma_poly(), False),
             ("case2", lambda h, k, x: ((0, 0), (x, 0), (2 * h, 0), (h, k)),
              ("ABC",), ("qc", "qd"), equal_angle_witness,
              condition_poly("K_T"), False),
@@ -675,7 +673,7 @@ def cert_degenerate_cases(family: str, seed: int = 0,
         cfg = QuadConfig.of(*place(h, k, x))
         d6 = cfg.sextuple()
         areas = signed_areas(cfg).as_tuple()
-        ok = ({t for t, ar in zip(_TRIANGLES, areas) if ar == 0} == set(flat)
+        ok = ({t for t, ar in zip(TRIANGLES, areas) if ar == 0} == set(flat)
               and is_zero(d6)
               and getattr(d6, axis) == 4 * h * h
               and getattr(d6, s1) == getattr(d6, s2)
@@ -803,64 +801,57 @@ def cert_reflection_theorem(seed: int = 0, samples: int = 500) -> Certificate:
 # hull tables against an independent oracle
 # ---------------------------------------------------------------------------
 
-def oracle_hull(cfg: QuadConfig) -> HullClass:
-    """Convex hull of the four labeled points by direct orientation tests;
-    shares only the orientation primitive with the sign-table classifier."""
-    orient = cfg.orient
-    labels = "ABCD"
-    collinear = [tri for tri in ("ABC", "ABD", "ACD", "BCD")
-                 if orient(tri) == 0]
+# ordered triple -> (its sign row, +-1): each swap of two points flips it
+_TRIPLE_SIGNS = {tri: (TRIANGLES.index("".join(sorted(tri))),
+                       (-1) ** sum(a > b for a, b in combinations(tri, 2)))
+                 for tri in map("".join, permutations("ABCD", 3))}
+# per label x: the others' triangle, and its sides closed with x to test x
+_INSIDE_TESTS = [(x, t, (t[:2] + x, t[1:] + x, t[2] + t[0] + x))
+                 for x, t in ((x, "ABCD".replace(x, "")) for x in "ABCD")]
+
+
+def _oracle_of_signs(signs: tuple[int, int, int, int]) -> HullClass:
+    """Convex hull of four distinct labeled points by direct orientation
+    tests, each ordered triple read as +-1 times one of the four signs."""
+    orient = {tri: parity * signs[i]
+              for tri, (i, parity) in _TRIPLE_SIGNS.items()}
+    collinear = [tri for tri in TRIANGLES if orient[tri] == 0]
     if len(collinear) >= 2:
         return HullClass("collinear4")
     if len(collinear) == 1:
         return HullClass("collinear3", triple=collinear[0])
-    interior = []
-    for x in labels:
-        o0, o1, o2 = [l for l in labels if l != x]
-        base = orient(o0 + o1 + o2)
-        if orient(o0 + o1 + x) == orient(o1 + o2 + x) \
-                == orient(o2 + o0 + x) == base:
-            interior.append(x)
+    interior = [(x, tri) for x, tri, (s0, s1, s2) in _INSIDE_TESTS
+                if orient[s0] == orient[s1] == orient[s2] == orient[tri]]
     if len(interior) > 1:
         raise AssertionError("two interior points cannot happen")
     if interior:
-        inner = interior[0]
-        tri = "".join(l for l in labels if l != inner)
-        if orient(tri) < 0:
+        inner, tri = interior[0]
+        if orient[tri] < 0:
             tri = tri[0] + tri[2] + tri[1]
         return HullClass("concave3", boundary=tri, interior=inner)
-    # convex: start at the lowest point, order the rest counterclockwise
-    pts = cfg.int_points
-    start = min(labels, key=lambda l: (pts[l][1], pts[l][0]))
-    ordered: list[str] = []
-    for l in labels:
-        if l == start:
-            continue
-        k = 0
-        while k < len(ordered) and orient(start + ordered[k] + l) > 0:
-            k += 1
-        ordered.insert(k, l)
-    ring = start + "".join(ordered)
-    k = ring.index("A")
-    return HullClass("convex4", boundary=ring[k:] + ring[:k])
+    # convex: every point is a hull vertex, so B, C, D lie in a wedge of less
+    # than a half-turn at A; each one's place counterclockwise around A is
+    # the number of the others it lies counterclockwise of
+    ring = sorted("BCD", key=lambda l: sum(orient["A" + m + l] > 0
+                                           for m in "BCD" if m != l))
+    return HullClass("convex4", boundary="A" + "".join(ring))
+
+
+def oracle_hull(cfg: QuadConfig) -> HullClass:
+    """The orientation oracle's hull of a configuration of distinct points."""
+    return _oracle_of_signs(tuple(cfg.orient(tri) for tri in TRIANGLES))
 
 
 def _hulls_agree(h1: HullClass, h2: HullClass) -> bool:
-    if h1.kind != h2.kind:
-        return False
-    if h1.kind == "convex4":
-        return same_cycle(h1.boundary, h2.boundary)
-    if h1.kind == "concave3":
-        return (h1.interior == h2.interior
-                and same_cycle(h1.boundary, h2.boundary))
-    if h1.kind == "collinear3":
-        return h1.triple == h2.triple
-    return True
+    return ((h1.kind, h1.interior, h1.triple)
+            == (h2.kind, h2.interior, h2.triple)
+            and same_cycle(h1.boundary, h2.boundary))
 
 
 def cert_hull_tables(seed: int = 0, samples: int = 100000) -> Certificate:
     """Empirical validation of the sign tables against the orientation-based
-    hull oracle, including the never-realizable sign rows."""
+    hull oracle, including the never-realizable sign rows; both read the
+    four orientation signs of each integer sample."""
     t0 = time.monotonic()
     cert = Certificate(
         "hull_tables",
@@ -871,18 +862,24 @@ def cert_hull_tables(seed: int = 0, samples: int = 100000) -> Certificate:
     unrealizable_seen = 0
     kinds = {"convex4": 0, "concave3": 0, "collinear3": 0, "collinear4": 0}
     for i in range(samples):
-        if i % 500 == 499:
-            cfg = gen_collinear_inorder(rng)  # exercises the collinear4 rows
+        if i % 500 == 499:  # exercises the collinear4 rows
+            ints = [c for p in gen_collinear_inorder(rng).int_points.values()
+                    for c in p]
         else:
             span = 8 if i % 3 == 0 else 40  # small spans hit collinear triples
-            cfg = random_quad(rng, span=span, max_den=3 if i % 2 else 1)
+            _, ints = geometry._draw_quad(rng, span, 3 if i % 2 else 1)
+        ax, ay, bx, by, cx, cy, dx, dy = ints
+        crosses = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
+                   (bx - ax) * (dy - ay) - (by - ay) * (dx - ax),
+                   (cx - bx) * (dy - by) - (cy - by) * (dx - bx),
+                   (cx - ax) * (dy - ay) - (cy - ay) * (dx - ax))
+        signs = tuple((v > 0) - (v < 0) for v in crosses)
         try:
-            h1 = classify_hull(cfg)
+            h1 = hull_from_signs(signs)
         except geometry.HullTableError:
             unrealizable_seen += 1
             continue
-        h2 = oracle_hull(cfg)
-        if not _hulls_agree(h1, h2):
+        if not _hulls_agree(h1, _oracle_of_signs(signs)):
             mismatches += 1
         kinds[h1.kind] += 1
     cert.tier2 = {"samples": samples, "mismatches": mismatches,

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from functools import cache
 
 from . import conditions
@@ -103,9 +104,7 @@ def cmd_classify(args) -> int:
     }
     if cfg is not None:
         hull = classify_hull(cfg)
-        report["hull"] = {"kind": hull.kind, "boundary": hull.boundary,
-                          "interior": hull.interior, "triple": hull.triple,
-                          "text": str(hull)}
+        report["hull"] = {**asdict(hull), "text": str(hull)}
         report["input"] = config_to_obj(cfg)
     else:
         report["input"] = sextuple_to_obj(d)
@@ -197,8 +196,7 @@ def cmd_generate(args) -> int:
             "index": i,
             "config": config_to_obj(cfg),
             "squared_distances": sextuple_to_obj(d),
-            "hull": {"kind": hull.kind, "boundary": hull.boundary,
-                     "interior": hull.interior, "triple": hull.triple},
+            "hull": asdict(hull),
             "condition_signs": rows,
             "verdicts": _verdicts(rows),
         }

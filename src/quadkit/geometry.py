@@ -123,11 +123,8 @@ class QuadConfig:
         return (qx - px) * (ry - py) - (qy - py) * (rx - px)
 
     def orient(self, tri: str) -> int:
-        """The sign of `cross` (+1 counterclockwise), written out: hull
-        classification calls it about twenty times per configuration."""
-        pts = self.int_points
-        (px, py), (qx, qy), (rx, ry) = pts[tri[0]], pts[tri[1]], pts[tri[2]]
-        d = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+        """The sign of `cross` (+1 counterclockwise)."""
+        d = self.cross(tri)
         return (d > 0) - (d < 0)
 
     def distinct(self) -> bool:
@@ -162,7 +159,7 @@ class SignedAreas:
 def signed_areas(cfg: QuadConfig) -> SignedAreas:
     s2 = cfg.int_scale ** 2
     return SignedAreas(*(Fraction(cfg.cross(tri), s2)
-                         for tri in _TRIPLE_NAMES))
+                         for tri in TRIANGLES))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +218,7 @@ _HULL_TABLE: dict[tuple[int, int, int, int], tuple[str, str]] = {
     (-1, 1, 1, 1): ("concave3", "CDA"),
 }
 _UNREALIZABLE = {(1, -1, -1, 1), (-1, 1, 1, -1)}
-_TRIPLE_NAMES = ("ABC", "ABD", "BCD", "ACD")
+TRIANGLES = ("ABC", "ABD", "BCD", "ACD")  # SignedAreas and sign-row order
 
 
 def hull_table() -> dict[tuple[int, int, int, int], tuple[str, str]]:
@@ -233,29 +230,30 @@ def unrealizable_patterns() -> frozenset:
     return frozenset(_UNREALIZABLE)
 
 
-def classify_hull(cfg: QuadConfig) -> HullClass:
-    """Classify by the signed-area sign tables.
-
-    Distinct points only.  Raises HullTableError if a sign pattern the tables
-    mark as not realizable shows up (that would mean an arithmetic bug)."""
-    if not cfg.distinct():
-        raise GeometryError("classify_hull needs four distinct points")
-    signs = tuple(cfg.orient(tri) for tri in _TRIPLE_NAMES)
-    zeros = [i for i, s in enumerate(signs) if s == 0]
+def hull_from_signs(signs: tuple[int, int, int, int]) -> HullClass:
+    """Hull of four distinct points from the signs of ABC, ABD, BCD, ACD,
+    read off the sign tables.  HullTableError on an unrealizable row or on
+    two or three zeros: either means an arithmetic bug."""
+    zeros = signs.count(0)
     if not zeros:
         if signs in _UNREALIZABLE:
             raise HullTableError(f"unrealizable sign pattern {signs}")
         kind, tri = _HULL_TABLE[signs]
-        if kind == "convex4":
-            return HullClass("convex4", boundary=tri)
-        interior = next(v for v in "ABCD" if v not in tri)
-        return HullClass("concave3", boundary=tri, interior=interior)
-    if len(zeros) == 4:
+        inner = "".join(v for v in "ABCD" if v not in tri)  # "" if convex
+        return HullClass(kind, boundary=tri, interior=inner)
+    if zeros == 4:
         return HullClass("collinear4")
-    if len(zeros) == 1:
-        return HullClass("collinear3", triple=_TRIPLE_NAMES[zeros[0]])
+    if zeros == 1:
+        return HullClass("collinear3", triple=TRIANGLES[signs.index(0)])
     raise HullTableError(
         f"impossible zero pattern {signs} for distinct points")
+
+
+def classify_hull(cfg: QuadConfig) -> HullClass:
+    """`hull_from_signs` on a configuration of distinct points."""
+    if not cfg.distinct():
+        raise GeometryError("classify_hull needs four distinct points")
+    return hull_from_signs(tuple(cfg.orient(tri) for tri in TRIANGLES))
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +422,9 @@ def gen_folded(seed_or_rng) -> QuadConfig:
     while True:
         cfg = gen_cyclic(rng, "ABCD")
         folded = reflect_over_line(cfg, "D", ("A", "C"))
-        if not folded.distinct():
-            continue
-        if classify_hull(folded).kind.startswith("collinear"):
-            continue
-        if r_condition_is_zero(folded.sextuple()):
+        if (folded.distinct()
+                and not classify_hull(folded).kind.startswith("collinear")
+                and r_condition_is_zero(folded.sextuple())):
             return folded
 
 
@@ -471,16 +467,25 @@ def gen_tilted_kite(seed_or_rng, convex: bool = True) -> QuadConfig:
             return kite
 
 
+def _draw_quad(rng: random.Random, span: int, max_den: int
+               ) -> tuple[list[tuple[int, int]], list[int]]:
+    """The (numerator, denominator) draws x_A, y_A, ..., y_D of the first
+    distinct quad, and its coordinates as integers n * (L // d), L the lcm
+    of the drawn denominators, on which the points are compared."""
+    randint = rng.randint
+    while True:
+        draw = [(randint(-span, span), randint(1, max_den)) for _ in range(8)]
+        scale = lcm(*(d for _, d in draw))
+        ints = [n * (scale // d) for n, d in draw]
+        if len(set(zip(ints[::2], ints[1::2]))) == 4:
+            return draw, ints
+
+
 def random_quad(seed_or_rng, span: int = 40, max_den: int = 4) -> QuadConfig:
     """Four distinct random rational points (no structure imposed)."""
-    rng = _rng(seed_or_rng)
-    while True:
-        pts = [Point(_rand_fraction(rng, -span, span, max_den),
-                     _rand_fraction(rng, -span, span, max_den))
-               for _ in range(4)]
-        cfg = QuadConfig(*pts)
-        if cfg.distinct():
-            return cfg
+    draw, _ = _draw_quad(_rng(seed_or_rng), span, max_den)
+    c = [Fraction(n, d) for n, d in draw]
+    return QuadConfig(*(Point(c[i], c[i + 1]) for i in range(0, 8, 2)))
 
 
 # ---------------------------------------------------------------------------

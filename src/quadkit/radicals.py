@@ -452,16 +452,14 @@ class RadicalValue:
         parts = []
         for s in sorted(self._coords):
             c = self._coords[s]
-            if s == 1:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = f"sqrt({s})"
-            else:
-                body = f"{abs(c)}*sqrt({s})"
+            num, den = c.numerator, c.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            body = (mag if s == 1 else f"sqrt({s})" if mag == "1"
+                    else f"{mag}*sqrt({s})")
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if num > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -10,9 +12,11 @@ from quadkit.certificates import (CERTIFIED, CLAIMS, FAILED, INCONCLUSIVE,
                                   cert_elimination_formula, cert_hull_tables,
                                   cert_parallelogram_case,
                                   cert_reflection_theorem, elimination_tier2,
-                                  ELIM_TARGETS, oracle_hull, ptolemy_scheme,
-                                  r_scheme, run_certificates, t_scheme)
-from quadkit.geometry import QuadConfig, classify_hull, random_quad
+                                  ELIM_TARGETS, _hulls_agree, oracle_hull,
+                                  ptolemy_scheme, r_scheme, run_certificates,
+                                  t_scheme)
+from quadkit.geometry import (HullClass, QuadConfig, classify_hull,
+                              config_to_obj, random_quad)
 from quadkit.radicals import RadicalValue
 
 
@@ -203,6 +207,40 @@ def test_hull_and_elimination_tier2_pinned():
         "M_T": {**guarded, **checks["M_T"]}, "dABC_T": guarded}
 
 
+def test_random_draws_and_hull_tier2_pinned():
+    # recorded before the hull loop moved to integer draws: each stream of
+    # 2000 draws, then the next 64 bits, so the randint calls are pinned too
+    want = {
+        (40, 4): "2e39b04f1edb689951aa97ebc896c4e9"
+                 "938859944549d17435d492cd00aa23db",
+        (8, 1): "748319dc88fb47d6e8bdbb77c506298b"
+                "d691ef49c11dba93ce097e2553c49054",
+        (40, 3): "25e1bba13efb7dec87f8ac3ecaf605f5"
+                 "7ccb8c567f5893f8eadfe8786ff9c9bd",
+        (100, 30): "202b40e6c63290fddda6c8674349d514"
+                   "39f2fa07656673bb6e596787b2b34d03",
+        (1000, 100): "84463e3761ee6072e0c906df86685071"
+                     "4d9437f11dda4aab82b315774037a041",
+    }
+    for (span, max_den), digest in want.items():
+        rng = random.Random(span * 1000 + max_den)
+        h = hashlib.sha256()
+        for _ in range(2000):
+            cfg = random_quad(rng, span, max_den)
+            h.update(json.dumps(config_to_obj(cfg)).encode())
+        h.update(str(rng.getrandbits(64)).encode())
+        assert h.hexdigest() == digest, (span, max_den)
+    kinds = {11: {"convex4": 3355, "concave3": 1575, "collinear3": 60,
+                  "collinear4": 10},
+             29: {"convex4": 3325, "concave3": 1598, "collinear3": 67,
+                  "collinear4": 10}}
+    for seed, counts in kinds.items():
+        tier2 = cert_hull_tables(seed=seed, samples=5000).tier2
+        del tier2["elapsed_ms"]
+        assert tier2 == {"samples": 5000, "mismatches": 0,
+                         "unrealizable_patterns": 0, "kinds": counts}
+
+
 def test_hull_set_mismatch_fails_the_claim(monkeypatch):
     table = dict(certificates._elim_targets())
     tgt, lhs, rhs = table["N_R"]
@@ -220,12 +258,21 @@ def test_hull_set_mismatch_fails_the_claim(monkeypatch):
 def test_oracle_hull_agrees_on_known_shapes():
     sq = QuadConfig.of((0, 0), (1, 0), (1, 1), (0, 1))
     assert oracle_hull(sq) == classify_hull(sq)
-    import random
+    # A is the top vertex, so the sort around A does not start at the lowest
+    kite = QuadConfig.of((2, 3), (3, 1), (1, 0), (0, 2))
+    assert oracle_hull(kite) == classify_hull(kite) == \
+        HullClass("convex4", boundary="ADCB")
+    dart = QuadConfig.of((1, "1/2"), (0, 0), (2, 0), (1, 2))
+    assert oracle_hull(dart) == classify_hull(dart) == \
+        HullClass("concave3", boundary="BCD", interior="A")
     rng = random.Random(0)
+    kinds = set()
     for _ in range(300):
         cfg = random_quad(rng, span=6, max_den=2)
         h1, h2 = classify_hull(cfg), oracle_hull(cfg)
-        assert h1.kind == h2.kind
+        assert _hulls_agree(h1, h2), (cfg, h1, h2)
+        kinds.add(h1.kind)
+    assert kinds == {"convex4", "concave3", "collinear3"}
 
 
 def test_certificates_deterministic_given_seed():

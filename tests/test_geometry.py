@@ -3,24 +3,25 @@ import random
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from quadkit.certificates import (_degenerate_families, _hulls_agree,
                                   oracle_hull)
 from quadkit.conditions import eval_condition
-from quadkit.geometry import (DistSextuple, GeometryError, HullClass, Point,
-                              QuadConfig, cayley_menger, classify_hull,
+from quadkit.geometry import (DistSextuple, GeometryError, HullClass,
+                              HullTableError, Point, QuadConfig,
+                              cayley_menger, classify_hull,
                               cocircularity, config_from_obj, config_svg,
                               config_to_obj, equal_angle_witness,
                               gen_collinear_inorder, gen_cyclic, gen_folded,
-                              gen_reflected, gen_tilted_kite, hull_table,
-                              midpoint_distances,
+                              gen_reflected, gen_tilted_kite, hull_from_signs,
+                              hull_table, midpoint_distances,
                               r_condition_is_zero, random_quad, reflect_over_line,
                               rt_condition_is_zero, same_cycle,
                               sextuple_from_obj, sextuple_to_obj, signed_areas,
-                              unit_circle_point)
+                              unit_circle_point, unrealizable_patterns)
 
 SQUARE = QuadConfig.of((0, 0), (1, 0), (1, 1), (0, 1))
 RECT34 = QuadConfig.of((0, 0), (4, 0), (4, 3), (0, 3))
@@ -77,6 +78,45 @@ def test_hull_collinear_rows():
 def test_hull_rejects_coincident_points():
     with pytest.raises(GeometryError):
         classify_hull(QuadConfig.of((0, 0), (0, 0), (1, 1), (2, 2)))
+
+
+# one exact witness per realizable sign row (ABC, ABD, BCD, ACD): labelings
+# of a square and of a triangle with one point inside
+ROW_WITNESSES = {
+    (1, 1, 1, 1): ((0, 0), (1, 0), (1, 1), (0, 1)),
+    (1, 1, -1, -1): ((0, 0), (1, 0), (0, 1), (1, 1)),
+    (1, -1, 1, -1): ((0, 0), (1, 1), (0, 1), (1, 0)),
+    (1, 1, 1, -1): ((0, 0), (3, 0), (0, 3), ("2/3", "3/4")),
+    (1, 1, -1, 1): ((0, 0), (3, 0), ("2/3", "3/4"), (0, 3)),
+    (1, -1, 1, 1): (("2/3", "3/4"), (0, 0), (3, 0), (0, 3)),
+    (1, -1, -1, -1): ((0, 0), ("2/3", "3/4"), (0, 3), (3, 0)),
+    (-1, -1, -1, -1): ((0, 0), (0, 1), (1, 1), (1, 0)),
+    (-1, -1, 1, 1): ((0, 0), (0, 1), (1, 0), (1, 1)),
+    (-1, 1, -1, 1): ((0, 0), (1, 1), (1, 0), (0, 1)),
+    (-1, -1, -1, 1): ((0, 0), (0, 3), (3, 0), ("2/3", "3/4")),
+    (-1, -1, 1, -1): ((0, 0), (0, 3), ("2/3", "3/4"), (3, 0)),
+    (-1, 1, -1, -1): (("2/3", "3/4"), (0, 0), (0, 3), (3, 0)),
+    (-1, 1, 1, 1): ((0, 0), ("2/3", "3/4"), (3, 0), (0, 3)),
+}
+
+
+def test_one_witness_per_sign_row():
+    table = hull_table()
+    assert set(ROW_WITNESSES) == set(table)
+    for signs, pts in ROW_WITNESSES.items():
+        cfg = QuadConfig.of(*pts)
+        assert tuple(cfg.orient(t) for t in ("ABC", "ABD", "BCD", "ACD")) \
+            == signs
+        hull = classify_hull(cfg)
+        assert (hull.kind, hull.boundary) == table[signs]
+        assert _hulls_agree(hull, oracle_hull(cfg))
+    for signs in unrealizable_patterns():
+        with pytest.raises(HullTableError):
+            hull_from_signs(signs)
+    # the 16 rows with no zero: the 14 table keys and the two unrealizable
+    no_zero = set(product((-1, 1), repeat=4))
+    assert no_zero == set(table) | unrealizable_patterns()
+    assert len(table) == 14 and len(unrealizable_patterns()) == 2
 
 
 def test_hull_invariant_under_rigid_motions_and_scaling():
