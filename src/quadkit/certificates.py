@@ -23,13 +23,13 @@ from typing import Callable, Sequence
 
 from . import geometry
 from .conditions import (DIST_VARS, condition_poly, eval_condition,
-                         eval_poly_on_sextuple, supplementary_witness,
-                         equal_angle_witness)
-from .geometry import (TRIANGLES, HullClass, Point, QuadConfig,
-                       classify_hull, cocircularity, gen_collinear_inorder,
-                       gen_cyclic, gen_folded, gen_tilted_kite,
-                       hull_from_signs, hull_table, random_quad,
-                       reflect_over_line, same_cycle, signed_areas)
+                         eval_poly_on_sextuple)
+from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, Point, QuadConfig,
+                       classify_hull, cocircularity, equal_angle_witness,
+                       gen_collinear_inorder, gen_cyclic, gen_folded,
+                       gen_tilted_kite, hull_from_signs, hull_table,
+                       random_quad, reflect_over_line, same_cycle,
+                       signed_areas, supplementary_witness)
 from .groebner import GroebnerTimeout, buchberger, radical_membership
 from .poly import GREVLEX, Polynomial, VarSet, det
 
@@ -87,14 +87,15 @@ def _status(tier1: bool | None, two_tier: bool, samples: int,
 
 @dataclass(frozen=True)
 class CoordinateScheme:
-    """A rational placement of the four points plus the distance generators
-    that tie coordinates to the six distances."""
+    """A rational placement of the four points, the distance generators
+    that tie coordinates to the distances it leaves free, and the family
+    that samples the scheme's constraint."""
 
     name: str
     vars: VarSet
     placement: dict
     generators: tuple
-    gen_names: tuple
+    family: str
 
     def area2(self, tri: str) -> Polynomial:
         one = Polynomial.one(self.vars)
@@ -110,63 +111,49 @@ class CoordinateScheme:
             rows.append([x * x + y * y, x, y, one])
         return det(rows)
 
+    def ideal(self, *extra: Polynomial) -> list[Polynomial]:
+        """The generators, then each extra polynomial on the scheme's
+        variables."""
+        return [*self.generators, *(p.on_vars(self.vars) for p in extra)]
+
 
 _SCHEME_VARS = VarSet(("a", "b", "c", "d", "e", "f", "u", "v", "w", "z"))
 
+# per constraint: the scheme's name; the x and y of A, B, C, D, each a scheme
+# variable or 0; the distances the placement leaves free, in generator
+# order; the family of tier 2
+_SCHEMES = {
+    "P": ("ptolemy", ("00", "a0", "uv", "wz"), "bcdef", "cyclic"),
+    "R": ("supplementary", ("uv", "f0", "wz", "00"), "aecdb", "folded"),
+    "R_T": ("equal-angle", ("00", "uv", "e0", "wz"), "abcdf", "kite"),
+}
 
-@lru_cache(maxsize=1)
+
+@lru_cache(maxsize=None)
+def _scheme(constraint: str) -> CoordinateScheme:
+    """The scheme of a constraint's row: the distance x joining P and Q
+    (`DIST_PAIRS`) gives the generator (px-qx)^2 + (py-qy)^2 - x^2."""
+    name, coords, free, family = _SCHEMES[constraint]
+    var = dict(zip(_SCHEME_VARS, Polynomial.variables(_SCHEME_VARS)))
+    var["0"] = Polynomial.zero(_SCHEME_VARS)
+    place = {v: (var[x], var[y]) for v, (x, y) in zip("ABCD", coords)}
+    gens = []
+    for x in free:
+        (px, py), (qx, qy) = map(place.get, DIST_PAIRS[DIST_VARS.index(x)])
+        gens.append((px - qx) ** 2 + (py - qy) ** 2 - var[x] ** 2)
+    return CoordinateScheme(name, _SCHEME_VARS, place, tuple(gens), family)
+
+
 def ptolemy_scheme() -> CoordinateScheme:
-    V = _SCHEME_VARS
-    a, b, c, d, e, f, u, v, w, z = Polynomial.variables(V)
-    zero = Polynomial.zero(V)
-    placement = {"A": (zero, zero), "B": (a, zero), "C": (u, v), "D": (w, z)}
-    gens = (
-        (u - a) ** 2 + v ** 2 - b ** 2,
-        (w - u) ** 2 + (z - v) ** 2 - c ** 2,
-        w ** 2 + z ** 2 - d ** 2,
-        u ** 2 + v ** 2 - e ** 2,
-        (w - a) ** 2 + z ** 2 - f ** 2,
-    )
-    return CoordinateScheme("ptolemy", V, placement, gens,
-                            ("f1", "f2", "f3", "f4", "f5"))
+    return _scheme("P")
 
 
-@lru_cache(maxsize=1)
 def r_scheme() -> CoordinateScheme:
-    V = _SCHEME_VARS
-    a, b, c, d, e, f, u, v, w, z = Polynomial.variables(V)
-    zero = Polynomial.zero(V)
-    placement = {"A": (u, v), "B": (f, zero), "C": (w, z), "D": (zero, zero)}
-    gens = (
-        (u - f) ** 2 + v ** 2 - a ** 2,
-        (u - w) ** 2 + (z - v) ** 2 - e ** 2,
-        w ** 2 + z ** 2 - c ** 2,
-        u ** 2 + v ** 2 - d ** 2,
-        (w - f) ** 2 + z ** 2 - b ** 2,
-    )
-    return CoordinateScheme("supplementary", V, placement, gens,
-                            ("h1", "h2", "h3", "h4", "h5"))
+    return _scheme("R")
 
 
-@lru_cache(maxsize=1)
 def t_scheme() -> CoordinateScheme:
-    V = _SCHEME_VARS
-    a, b, c, d, e, f, u, v, w, z = Polynomial.variables(V)
-    zero = Polynomial.zero(V)
-    placement = {"A": (zero, zero), "B": (u, v), "C": (e, zero), "D": (w, z)}
-    gens = (
-        u ** 2 + v ** 2 - a ** 2,
-        (e - u) ** 2 + v ** 2 - b ** 2,
-        (w - e) ** 2 + z ** 2 - c ** 2,
-        w ** 2 + z ** 2 - d ** 2,
-        (u - w) ** 2 + (z - v) ** 2 - f ** 2,
-    )
-    return CoordinateScheme("equal-angle", V, placement, gens,
-                            ("g1", "g2", "g3", "g4", "g5"))
-
-
-def _dist(name: str) -> Polynomial:
-    return condition_poly(name).on_vars(_SCHEME_VARS)
+    return _scheme("R_T")
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +173,7 @@ def cert_converse_ptolemy(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
     quartic = scheme.cocircle()
     ext = scheme.vars.extend("t")
     t_var = Polynomial.variable(ext, "t")
-    gens = [g.on_vars(ext) for g in scheme.generators]
-    gens.append(_dist("P").on_vars(ext))
+    gens = [g.on_vars(ext) for g in scheme.ideal(condition_poly("P"))]
     gens.append(Polynomial.one(ext) - t_var * quartic.on_vars(ext))
     order = GREVLEX
     cert.order = order.name
@@ -237,10 +223,6 @@ def cert_converse_ptolemy(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
 # ---------------------------------------------------------------------------
 # elimination closed forms
 # ---------------------------------------------------------------------------
-
-# per constraint: the coordinate scheme of tier 1 and the family of tier 2
-_CONSTRAINTS = {"P": (ptolemy_scheme, "cyclic"), "R": (r_scheme, "folded"),
-                "R_T": (t_scheme, "kite")}
 
 # the named area products; any other area spec is a single triangle
 _AREA_PRODUCTS = {"N": ("ABC", "ACD"), "M": ("ABD", "BCD")}
@@ -368,7 +350,7 @@ def elimination_tier2(targets: Sequence[str], samples: int = 1000,
         if t not in table:
             raise ValueError(f"unknown elimination target {t!r}")
         tgt = table[t][0]
-        by_family.setdefault(_CONSTRAINTS[tgt.constraint][1], []).append(t)
+        by_family.setdefault(_scheme(tgt.constraint).family, []).append(t)
         results[t] = {"samples": 0, "mismatches": 0, "sign_violations": 0,
                       "guard_skips": 0}
         if tgt.hulls is not None:
@@ -416,11 +398,11 @@ def _tier1_elimination(target: str, timeout: float) -> dict:
     `timeout`."""
     t0 = time.monotonic()
     tgt, lhs_poly, rhs_poly = _elim_targets()[target]
-    scheme = _CONSTRAINTS[tgt.constraint][0]()
+    scheme = _scheme(tgt.constraint)
     area = prod(scheme.area2(tri) for tri in tgt.triangles)
     rel = (lhs_poly.on_vars(scheme.vars) * area ** tgt.power
            - rhs_poly.on_vars(scheme.vars))
-    gens = list(scheme.generators) + [_dist(tgt.constraint)]
+    gens = scheme.ideal(condition_poly(tgt.constraint))
     try:
         ok = radical_membership(rel, gens, timeout=max(
             t0 + timeout - time.monotonic(), 0))
@@ -441,15 +423,14 @@ def cert_elimination_formula(target: str, seed: int = 0,
                          f"one of {', '.join(ELIM_TARGETS)}")
     t0 = time.monotonic()
     tgt = _elim_targets()[target][0]
-    scheme = _CONSTRAINTS[tgt.constraint][0]()
+    scheme = _scheme(tgt.constraint)
     cert = Certificate(
         f"elim_{target}",
         f"closed form for {tgt.area_spec} on the {tgt.constraint} = 0 "
         f"family ({scheme.name} placement)")
     cert.order = GREVLEX.name
-    gens = [g.to_text(GREVLEX) for g in scheme.generators]
-    gens.append(condition_poly(tgt.constraint).to_text(GREVLEX))
-    cert.ideal = gens
+    cert.ideal = [g.to_text(GREVLEX) for g in
+                  scheme.ideal(condition_poly(tgt.constraint))]
     cert.tier1 = (_tier1_elimination(target, timeout) if timeout > 0 else
                   {"completed": False, "method": None,
                    "note": "tier 1 skipped (budget 0)"})
@@ -536,7 +517,7 @@ def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
     a, b, c, d = (Polynomial.variable(V, n) for n in "abcd")
     target = (b ** 2 * c ** 2 * (a - c) ** 2 * (a + c) ** 2
               * (a - b) ** 2 * (a + b) ** 2)
-    J = list(scheme.generators) + [_dist("R_T"), a * d - b * c]
+    J = scheme.ideal(condition_poly("R_T"), a * d - b * c)
     cert.order = GREVLEX.name
     cert.ideal = [g.to_text(GREVLEX) for g in J]
     t1_start = time.monotonic()

@@ -18,8 +18,7 @@ from functools import cache
 
 from . import conditions
 from .certificates import CLAIMS, FAILED, run_certificates
-from .conditions import (CONDITION_NAMES, IDENTITY_NAMES, eval_condition,
-                         verify_identity)
+from .conditions import CONDITION_NAMES, eval_condition
 from .geometry import (GeometryError, classify_hull, config_from_obj,
                        config_svg, config_to_obj, gen_cyclic, gen_folded,
                        gen_reflected, gen_tilted_kite, sextuple_from_obj,
@@ -125,7 +124,7 @@ def cmd_classify(args) -> int:
 
 def cmd_verify_identities(args) -> int:
     conditions.run_self_check()
-    results = {name: verify_identity(name) for name in IDENTITY_NAMES}
+    results = conditions.verify_all_identities()
     n_ok = sum(results.values())
     if args.format == "json":
         print(json.dumps({"identities": results,

@@ -14,7 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .geometry import DistSextuple, cayley_menger, equal_angle_witness
+# the radical-free witnesses of K = 0 and K_T = 0 are re-exported from here
+from .geometry import (DistSextuple, cayley_menger, equal_angle_witness,
+                       supplementary_witness)
 from .poly import Polynomial, VarSet, det
 from .radicals import (RadicalValue, rad_sqrt, sqrt_rational,
                        squarefree_decompose)
@@ -212,25 +214,6 @@ def eval_condition(id: str, d: DistSextuple) -> RadicalValue:
 
 def condition_sign(id: str, d: DistSextuple) -> int:
     return eval_condition(id, d).sign()
-
-
-# ---------------------------------------------------------------------------
-# radical-free witnesses (fast exact encodings of K = 0 and, imported from
-# geometry, K_T = 0)
-# ---------------------------------------------------------------------------
-
-def supplementary_witness(d: DistSextuple) -> bool:
-    """cos(CDA) = -cos(CDA's partner CBA), encoded without radicals:
-    qa*qb*(qe-qc-qd)^2 == qc*qd*(qe-qa-qb)^2 with opposite (or both zero)
-    signs of the bracketed factors.  Equivalent to K = 0 for positive
-    distances."""
-    x = d.qe - d.qc - d.qd
-    y = d.qe - d.qa - d.qb
-    if d.qa * d.qb * x * x != d.qc * d.qd * y * y:
-        return False
-    if x == 0 and y == 0:
-        return True
-    return (x > 0 and y < 0) or (x < 0 and y > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,10 @@ class DistSextuple:
         return (self.qa, self.qb, self.qc, self.qd, self.qe, self.qf)
 
 
+# the vertex pair of each distance a..f (and squared distance qa..qf)
+DIST_PAIRS = ("AB", "BC", "CD", "DA", "AC", "BD")
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Four labeled planar points A, B, C, D.  `int_points` maps each label
@@ -135,7 +139,7 @@ class QuadConfig:
         return DistSextuple(*(
             Fraction((pts[u][0] - pts[v][0]) ** 2
                      + (pts[u][1] - pts[v][1]) ** 2, s2)
-            for u, v in ("AB", "BC", "CD", "DA", "AC", "BD")))
+            for u, v in DIST_PAIRS))
 
     def replace(self, label: str, p: Point) -> "QuadConfig":
         parts = {"A": self.A, "B": self.B, "C": self.C, "D": self.D}
@@ -324,39 +328,52 @@ def reflect_over_line(cfg: QuadConfig, vertex: str,
 
 
 # ---------------------------------------------------------------------------
-# exact zero tests used by the generators (radical-free encodings)
+# radical-free exact zero tests and angle witnesses
 # ---------------------------------------------------------------------------
 
+def _root_form_is_zero(d: DistSextuple, r0: Fraction, sign: int) -> bool:
+    """r0 + sign * 2*sqrt(qa*qb*qc*qd) == 0, decided in rationals: zero iff
+    sign * r0 <= 0 and r0^2 == 4*qa*qb*qc*qd."""
+    return sign * r0 <= 0 and r0 * r0 == 4 * d.qa * d.qb * d.qc * d.qd
+
+
 def r_condition_is_zero(d: DistSextuple) -> bool:
-    """(bc+ad)^2 == qe*(sum q - qe - qf), decided in rationals."""
+    """(bc+ad)^2 == qe*(sum q - qe - qf), decided in rationals: R is
+    r0 + 2*sqrt(qa*qb*qc*qd)."""
     qa, qb, qc, qd, qe, qf = d.as_tuple()
-    t = qa + qb + qc + qd - qe - qf
-    r0 = qb * qc + qa * qd - qe * t
-    g = qa * qb * qc * qd
-    # R = r0 + 2*sqrt(g): zero iff r0 <= 0 and r0^2 == 4g
-    return r0 <= 0 and r0 * r0 == 4 * g
+    return _root_form_is_zero(
+        d, qb * qc + qa * qd - qe * (qa + qb + qc + qd - qe - qf), 1)
 
 
 def rt_condition_is_zero(d: DistSextuple) -> bool:
-    """(ab-cd)^2 == qf*(sum q - qe - qf), decided in rationals."""
+    """(ab-cd)^2 == qf*(sum q - qe - qf), decided in rationals: R_T is
+    r0 - 2*sqrt(qa*qb*qc*qd)."""
     qa, qb, qc, qd, qe, qf = d.as_tuple()
-    t = qa + qb + qc + qd - qe - qf
-    r0 = qa * qb + qc * qd - qf * t
-    g = qa * qb * qc * qd
-    # R_T = r0 - 2*sqrt(g): zero iff r0 >= 0 and r0^2 == 4g
-    return r0 >= 0 and r0 * r0 == 4 * g
+    return _root_form_is_zero(
+        d, qa * qb + qc * qd - qf * (qa + qb + qc + qd - qe - qf), -1)
+
+
+def _cosine_law_test(x: Fraction, wx: Fraction, y: Fraction, wy: Fraction,
+                     sign: int) -> bool:
+    """x*sqrt(wx) == sign * y*sqrt(wy) for positive wx, wy, decided without
+    radicals: equal squares, and x and sign*y both zero or of one sign."""
+    return wx * x * x == wy * y * y and (x > 0) == (sign * y > 0)
+
+
+def supplementary_witness(d: DistSextuple) -> bool:
+    """cos(CDA) = -cos(CDA's partner CBA), encoded without radicals:
+    qa*qb*(qe-qc-qd)^2 == qc*qd*(qe-qa-qb)^2 with opposite (or both zero)
+    signs of the bracketed factors.  Equivalent to K = 0 for positive
+    distances."""
+    return _cosine_law_test(d.qe - d.qc - d.qd, d.qa * d.qb,
+                            d.qe - d.qa - d.qb, d.qc * d.qd, -1)
 
 
 def equal_angle_witness(d: DistSextuple) -> bool:
     """cos(BAD) = cos(BCD) without radicals: qb*qc*(qf-qa-qd)^2 ==
     qa*qd*(qf-qb-qc)^2 with matching signs.  Equivalent to K_T = 0."""
-    x = d.qf - d.qa - d.qd
-    y = d.qf - d.qb - d.qc
-    if d.qb * d.qc * x * x != d.qa * d.qd * y * y:
-        return False
-    if x == 0 and y == 0:
-        return True
-    return (x > 0) == (y > 0)
+    return _cosine_law_test(d.qf - d.qa - d.qd, d.qb * d.qc,
+                            d.qf - d.qb - d.qc, d.qa * d.qd, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,6 @@ def _spoly_int(a: _Gen, b: _Gen, L: int, guard: int) -> dict:
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
-               deadline: float | None = None,
                timeout: float | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of <gens>.
 
@@ -326,8 +325,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
     as any reduction produces a nonzero constant the unit basis {1} is
     returned (sound: the ideal is the whole ring), which is what makes the
     radical-membership certificates fast.
-    `timeout` (seconds) or an absolute monotonic `deadline` aborts with
-    GroebnerTimeout.
+    `timeout` (seconds) aborts with GroebnerTimeout.
     """
     if not gens:
         raise ValueError("buchberger needs at least one generator")
@@ -335,8 +333,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
     for g in gens:
         if g.vars != vars0:
             raise ValueError("variable-set mismatch among generators")
-    if timeout is not None:
-        deadline = time.monotonic() + timeout
+    deadline = None if timeout is None else time.monotonic() + timeout
     live = [g for g in gens if not g.is_zero]
     if any(g.is_constant() for g in live):
         return GroebnerBasis((Polynomial.one(vars0),), order)
@@ -422,32 +419,28 @@ def _reduce_basis(basis: list[_Gen], vars0: VarSet, order: MonomialOrder,
 # ---------------------------------------------------------------------------
 
 def ideal_membership(f: Polynomial, gens: Sequence[Polynomial],
-                     order: MonomialOrder = GREVLEX,
                      timeout: float | None = None) -> bool:
-    """f in <gens>, decided via a reduced basis and a zero normal form."""
+    """f in <gens>, decided via a grevlex reduced basis and a zero normal
+    form."""
     live = [g for g in gens if not g.is_zero]
     if not live:
         return f.is_zero
-    gb = buchberger(live, order, timeout=timeout)
-    return normal_form(f, gb.generators, order).is_zero
+    gb = buchberger(live, GREVLEX, timeout=timeout)
+    return normal_form(f, gb.generators, GREVLEX).is_zero
 
 
 def radical_membership(f: Polynomial, gens: Sequence[Polynomial],
-                       order: MonomialOrder = GREVLEX,
                        timeout: float | None = None) -> bool:
     """f in the radical of <gens>, by the slack-variable trick: adjoin a fresh
-    variable y and test whether the reduced basis of <gens, 1 - y*f> is {1}."""
+    variable y and test whether the grevlex reduced basis of
+    <gens, 1 - y*f> is {1}."""
     vars0 = f.vars
     slack = vars0.fresh_name("y")
     ext = vars0.extend(slack)
     y = Polynomial.variable(ext, slack)
     lifted = [g.on_vars(ext) for g in gens if not g.is_zero]
     lifted.append(Polynomial.one(ext) - y * f.on_vars(ext))
-    ext_order = order
-    if order.kind == "block":
-        ext_order = GREVLEX  # block split indexes the original vars only
-    gb = buchberger(lifted, ext_order, timeout=timeout)
-    return gb.is_unit()
+    return buchberger(lifted, GREVLEX, timeout=timeout).is_unit()
 
 
 def elimination_ideal(gens: Sequence[Polynomial], drop_vars: Collection[str],

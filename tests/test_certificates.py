@@ -30,12 +30,33 @@ def _strip_timing(obj):
 
 
 def test_schemes_have_expected_generators():
-    for scheme, first in ((ptolemy_scheme(), "(u-a)^2 + v^2 - b^2"),
-                          (r_scheme(), "(u-f)^2 + v^2 - a^2"),
-                          (t_scheme(), "u^2 + v^2 - a^2")):
-        assert len(scheme.generators) == 5
-        from quadkit.poly import Polynomial
-        assert scheme.generators[0] == Polynomial.parse(first, scheme.vars)
+    # name, placement (x y of A, B, C, D) and the five generators in order,
+    # as grevlex texts
+    expected = (
+        (ptolemy_scheme(), "ptolemy", "0 0 a 0 u v w z", (
+            "a^2 - b^2 - 2*a*u + u^2 + v^2",
+            "-c^2 + u^2 + v^2 - 2*u*w + w^2 - 2*v*z + z^2",
+            "-d^2 + w^2 + z^2",
+            "-e^2 + u^2 + v^2",
+            "a^2 - f^2 - 2*a*w + w^2 + z^2")),
+        (r_scheme(), "supplementary", "u v f 0 w z 0 0", (
+            "-a^2 + f^2 - 2*f*u + u^2 + v^2",
+            "-e^2 + u^2 + v^2 - 2*u*w + w^2 - 2*v*z + z^2",
+            "-c^2 + w^2 + z^2",
+            "-d^2 + u^2 + v^2",
+            "-b^2 + f^2 - 2*f*w + w^2 + z^2")),
+        (t_scheme(), "equal-angle", "0 0 u v e 0 w z", (
+            "-a^2 + u^2 + v^2",
+            "-b^2 + e^2 - 2*e*u + u^2 + v^2",
+            "-c^2 + e^2 - 2*e*w + w^2 + z^2",
+            "-d^2 + w^2 + z^2",
+            "-f^2 + u^2 + v^2 - 2*u*w + w^2 - 2*v*z + z^2")))
+    for scheme, name, placement, gens in expected:
+        assert scheme.name == name
+        assert list(scheme.placement) == ["A", "B", "C", "D"]
+        assert " ".join(c.to_text() for xy in scheme.placement.values()
+                        for c in xy) == placement, name
+        assert [g.to_text() for g in scheme.generators] == list(gens), name
 
 
 def test_scheme_cocircle_quartic_shape():
