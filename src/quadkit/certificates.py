@@ -30,7 +30,8 @@ from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, Point, QuadConfig,
                        gen_tilted_kite, hull_from_signs, hull_table,
                        random_quad, reflect_over_line, same_cycle,
                        signed_areas, supplementary_witness)
-from .groebner import GroebnerTimeout, buchberger, radical_membership
+from .groebner import (GroebnerTimeout, buchberger, rabinowitsch,
+                       radical_membership)
 from .poly import GREVLEX, Polynomial, VarSet, det
 
 CERTIFIED = "CERTIFIED"
@@ -171,10 +172,7 @@ def cert_converse_ptolemy(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
         "(unit reduced basis of the slack-augmented ideal)")
     scheme = ptolemy_scheme()
     quartic = scheme.cocircle()
-    ext = scheme.vars.extend("t")
-    t_var = Polynomial.variable(ext, "t")
-    gens = [g.on_vars(ext) for g in scheme.ideal(condition_poly("P"))]
-    gens.append(Polynomial.one(ext) - t_var * quartic.on_vars(ext))
+    gens = rabinowitsch(quartic, scheme.ideal(condition_poly("P")))
     order = GREVLEX
     cert.order = order.name
     cert.ideal = [g.to_text(order) for g in gens]
@@ -877,25 +875,22 @@ def cert_hull_tables(seed: int = 0, samples: int = 100000) -> Certificate:
 # ---------------------------------------------------------------------------
 
 def _make_elim(target: str):
-    def run(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
-            samples: int = 1000) -> Certificate:
-        return cert_elimination_formula(target, seed=seed, timeout=timeout,
-                                        samples=samples)
-    return run
+    # binds target now; calls through the global, which a tracer may wrap
+    return lambda **kw: cert_elimination_formula(target, **kw)
 
 
+# each claim keeps its function's defaults; sampling-only ones ignore timeout
 CLAIMS: dict[str, Callable[..., Certificate]] = {
     "converse_ptolemy": cert_converse_ptolemy,
     **{f"elim_{t}": _make_elim(t) for t in ELIM_TARGETS},
     "parallelogram_case": cert_parallelogram_case,
-    "degenerate_R": lambda seed=0, timeout=DEFAULT_TIMEOUT, samples=200:
-        cert_degenerate_cases("R", seed=seed, samples=samples),
-    "degenerate_RT": lambda seed=0, timeout=DEFAULT_TIMEOUT, samples=200:
-        cert_degenerate_cases("R_T", seed=seed, samples=samples),
-    "reflection_theorem": lambda seed=0, timeout=DEFAULT_TIMEOUT, samples=500:
-        cert_reflection_theorem(seed=seed, samples=samples),
-    "hull_tables": lambda seed=0, timeout=DEFAULT_TIMEOUT, samples=100000:
-        cert_hull_tables(seed=seed, samples=samples),
+    "degenerate_R": lambda timeout=None, **kw:
+        cert_degenerate_cases("R", **kw),
+    "degenerate_RT": lambda timeout=None, **kw:
+        cert_degenerate_cases("R_T", **kw),
+    "reflection_theorem": lambda timeout=None, **kw:
+        cert_reflection_theorem(**kw),
+    "hull_tables": lambda timeout=None, **kw: cert_hull_tables(**kw),
 }
 
 

@@ -17,12 +17,12 @@ from dataclasses import asdict
 from functools import cache
 
 from . import conditions
-from .certificates import CLAIMS, FAILED, run_certificates
+from .certificates import CLAIMS, DEFAULT_TIMEOUT, FAILED, run_certificates
 from .conditions import CONDITION_NAMES, eval_condition
-from .geometry import (GeometryError, classify_hull, config_from_obj,
-                       config_svg, config_to_obj, gen_cyclic, gen_folded,
-                       gen_reflected, gen_tilted_kite, sextuple_from_obj,
-                       sextuple_to_obj)
+from .geometry import (SQ_DIST_NAMES, GeometryError, classify_hull,
+                       config_from_obj, config_svg, config_to_obj, gen_cyclic,
+                       gen_folded, gen_reflected, gen_tilted_kite,
+                       sextuple_from_obj, sextuple_to_obj)
 
 
 class CliError(Exception):
@@ -54,8 +54,7 @@ def _load_config_or_sextuple(obj):
         if not cfg.distinct():
             raise CliError("coincident points in configuration")
         return cfg, cfg.sextuple()
-    if isinstance(obj, dict) and all(
-            k in obj for k in ("qa", "qb", "qc", "qd", "qe", "qf")):
+    if isinstance(obj, dict) and all(k in obj for k in SQ_DIST_NAMES):
         return None, sextuple_from_obj(obj)
     raise CliError("input must contain vertices A..D or squared "
                    "distances qa..qf")
@@ -234,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("claims", nargs="*",
                     help=f"claim names (default: all). Known: {', '.join(CLAIMS)}")
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--timeout", type=float, default=600.0,
-                    help="budget per Groebner run, seconds (default 600)")
+    pr.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+                    help="budget per Groebner run, seconds "
+                         f"(default {DEFAULT_TIMEOUT:g})")
     pr.add_argument("--jobs", type=int, default=1,
                     help="run certificates in N parallel processes")
     pr.add_argument("--samples", type=int, default=None,

@@ -14,9 +14,10 @@ integer points (`QuadConfig.int_points`).
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from .poly import det
 
 
@@ -29,12 +30,21 @@ class HullTableError(AssertionError):
     or an impossible zero pattern: indicates an arithmetic bug."""
 
 
+_EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*$", re.IGNORECASE)
+_MAX_EXPONENT = 4300  # sys.int_info.default_max_str_digits
+
+
 def _frac(x) -> Fraction:
-    """An exact rational from an int, a Fraction or a "p/q" string."""
+    """An exact rational from an int, a Fraction or a "p/q" string.  A
+    decimal exponent beyond Python's int-digit limit is refused before
+    `Fraction` expands it."""
     if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
         raise GeometryError(f"coordinate {x!r} is not exact; pass an int or "
                             "a p/q string")
     try:
+        exp = isinstance(x, str) and _EXPONENT.search(x)
+        if exp and abs(int(exp[1])) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT}")
         return Fraction(x)
     except (ZeroDivisionError, ValueError) as exc:
         raise GeometryError(f"bad coordinate {x!r}: {exc}") from None
@@ -53,6 +63,11 @@ class Point:
         return iter((self.x, self.y))
 
 
+# the vertex pair of each distance a..f, and the squared distances' names
+DIST_PAIRS = ("AB", "BC", "CD", "DA", "AC", "BD")
+SQ_DIST_NAMES = ("qa", "qb", "qc", "qd", "qe", "qf")
+
+
 @dataclass(frozen=True)
 class DistSextuple:
     """Squared distances qa=|AB|^2, qb=|BC|^2, qc=|CD|^2, qd=|DA|^2,
@@ -66,20 +81,16 @@ class DistSextuple:
     qf: Fraction
 
     def __post_init__(self):
-        for name in ("qa", "qb", "qc", "qd", "qe", "qf"):
+        for name in SQ_DIST_NAMES:
             v = getattr(self, name)
             if not isinstance(v, Fraction):
                 object.__setattr__(self, name, _frac(v))
-        for name in ("qa", "qb", "qc", "qd", "qe", "qf"):
+        for name in SQ_DIST_NAMES:
             if getattr(self, name) <= 0:
                 raise GeometryError(f"squared distance {name} must be > 0")
 
     def as_tuple(self) -> tuple[Fraction, ...]:
         return (self.qa, self.qb, self.qc, self.qd, self.qe, self.qf)
-
-
-# the vertex pair of each distance a..f (and squared distance qa..qf)
-DIST_PAIRS = ("AB", "BC", "CD", "DA", "AC", "BD")
 
 
 @dataclass(frozen=True)
@@ -398,9 +409,6 @@ def unit_circle_point(t: Fraction) -> Point:
     return Point((1 - t * t) / den, 2 * t / den)
 
 
-_CYCLIC_ORDERS = ("ABCD", "ABDC", "ACBD", "ACDB", "ADBC", "ADCB")
-
-
 def gen_cyclic(seed_or_rng, order: str = "ABCD") -> QuadConfig:
     """Four distinct rational points on the unit circle whose counterclockwise
     order around the circle realizes `order` (any permutation of ABCD)."""
@@ -424,9 +432,7 @@ def gen_collinear_inorder(seed_or_rng) -> QuadConfig:
         xs.add(_rand_fraction(rng, -20, 20, 8))
     # random rational direction keeps the family from being axis-special; a
     # unit direction sends distinct xs to distinct points
-    t = _rand_fraction(rng, -5, 5, 4)
-    den = 1 + t * t
-    ux, uy = (1 - t * t) / den, 2 * t / den
+    ux, uy = unit_circle_point(_rand_fraction(rng, -5, 5, 4))
     ox = _rand_fraction(rng, -5, 5, 4)
     oy = _rand_fraction(rng, -5, 5, 4)
     return QuadConfig(*(Point(ox + x * ux, oy + x * uy) for x in sorted(xs)))
@@ -529,15 +535,14 @@ def config_from_obj(obj) -> QuadConfig:
 
 
 def sextuple_to_obj(d: DistSextuple) -> dict:
-    return {k: str(v) for k, v in zip(("qa", "qb", "qc", "qd", "qe", "qf"),
-                                      d.as_tuple())}
+    return {k: str(v) for k, v in zip(SQ_DIST_NAMES, d.as_tuple())}
 
 
 def sextuple_from_obj(obj) -> DistSextuple:
     if not isinstance(obj, dict):
         raise GeometryError("sextuple JSON must be an object")
     vals = []
-    for k in ("qa", "qb", "qc", "qd", "qe", "qf"):
+    for k in SQ_DIST_NAMES:
         if k not in obj:
             raise GeometryError(f"missing squared distance {k}")
         vals.append(_frac(obj[k]))
@@ -546,14 +551,20 @@ def sextuple_from_obj(obj) -> DistSextuple:
 
 def config_svg(cfg: QuadConfig, size: int = 440) -> str:
     """A labeled SVG drawing; vertex coordinates converted to float once."""
-    pts = {label: (float(p.x), float(p.y))
-           for label, p in zip("ABCD", cfg.points())}
+    try:
+        pts = {label: (float(p.x), float(p.y))
+               for label, p in zip("ABCD", cfg.points())}
+    except OverflowError:
+        raise GeometryError("coordinates too large to draw") from None
     xs = [v[0] for v in pts.values()]
     ys = [v[1] for v in pts.values()]
     pad = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9) * 0.15
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
     scale = size / max(x1 - x0, y1 - y0)
+    width, height = (x1 - x0) * scale, (y1 - y0) * scale
+    if not (isfinite(width) and isfinite(height)):  # a span beyond float
+        raise GeometryError("coordinates too large to draw")
 
     def sx(x: float) -> float:
         return (x - x0) * scale
@@ -564,8 +575,7 @@ def config_svg(cfg: QuadConfig, size: int = 440) -> str:
     def fmt(v: float) -> str:
         return f"{v:.6f}"
 
-    w = fmt((x1 - x0) * scale)
-    h = fmt((y1 - y0) * scale)
+    w, h = fmt(width), fmt(height)
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
              f'height="{h}" viewBox="0 0 {w} {h}">']
     ring = "ABCD"

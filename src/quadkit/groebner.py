@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 from math import gcd
 from operator import or_
 from typing import Collection, Sequence
@@ -126,20 +125,16 @@ class _Packing:
 
     Fields are `w` bits wide; the top bit of each is a guard, clear in a
     valid monomial.  Field i < n holds the exponent of variable i.  Above
-    them, most significant first, sit the order's key fields (lex: e1..en;
-    grlex: deg, e1..en; grevlex: the prefix sums deg, deg - en, ..., e1;
-    block: the grevlex fields of each block).  All fields are additive, so
-    `+` multiplies while no field reaches its guard, and `<` is the order.
+    them, most significant first, sit the fields of `MonomialOrder.key`.
+    All fields are additive, so `+` multiplies while no field reaches its
+    guard, and `<` is the order.
     Every reduction step and S-polynomial checks the guards of a fieldwise
     bound on its products; on overflow the computation restarts at double
     the width.
     """
 
     def __init__(self, order: MonomialOrder, n: int, w: int):
-        s = order.split or n  # grevlex is block order with one block
-        rev = lambda m: tuple(accumulate(m))[::-1]  # grevlex fields
-        self.key = {"lex": lambda m: m, "grlex": lambda m: (sum(m),) + m}.get(
-            order.kind, lambda m: rev(m[:s]) + rev(m[s:]))
+        self.key = order.key
         self.n, self.w = n, w
         self.nf = n + len(self.key((0,) * n))
         self.mask = (1 << w) - 1
@@ -429,28 +424,32 @@ def ideal_membership(f: Polynomial, gens: Sequence[Polynomial],
     return normal_form(f, gb.generators, GREVLEX).is_zero
 
 
+def rabinowitsch(f: Polynomial, gens: Sequence[Polynomial]
+                 ) -> list[Polynomial]:
+    """<gens, 1 - t*f> over f's variables and a fresh slack variable t: f
+    lies in the radical of <gens> iff this ideal is the whole ring."""
+    slack = f.vars.fresh_name("t")
+    ext = f.vars.extend(slack)
+    t = Polynomial.variable(ext, slack)
+    return [*(g.on_vars(ext) for g in gens),
+            Polynomial.one(ext) - t * f.on_vars(ext)]
+
+
 def radical_membership(f: Polynomial, gens: Sequence[Polynomial],
                        timeout: float | None = None) -> bool:
-    """f in the radical of <gens>, by the slack-variable trick: adjoin a fresh
-    variable y and test whether the grevlex reduced basis of
-    <gens, 1 - y*f> is {1}."""
-    vars0 = f.vars
-    slack = vars0.fresh_name("y")
-    ext = vars0.extend(slack)
-    y = Polynomial.variable(ext, slack)
-    lifted = [g.on_vars(ext) for g in gens if not g.is_zero]
-    lifted.append(Polynomial.one(ext) - y * f.on_vars(ext))
-    return buchberger(lifted, GREVLEX, timeout=timeout).is_unit()
+    """f in the radical of <gens>: the grevlex reduced basis of the
+    `rabinowitsch` ideal is {1}."""
+    return buchberger(rabinowitsch(f, gens), GREVLEX,
+                      timeout=timeout).is_unit()
 
 
 def elimination_ideal(gens: Sequence[Polynomial], drop_vars: Collection[str],
-                      order: MonomialOrder | None = None,
-                      timeout: float | None = None) -> list[Polynomial]:
+                      *, timeout: float | None = None) -> list[Polynomial]:
     """Generators of <gens> intersected with k[remaining vars].
 
     Internally permutes the VarSet so the dropped variables form the leading
-    block, runs Buchberger under a block (or caller-supplied lex) elimination
-    order, and keeps the basis members free of dropped variables -- those
+    block, runs Buchberger under the block elimination order, and keeps the
+    basis members free of dropped variables -- those
     generate the elimination ideal.  Results are returned over the VarSet of
     the remaining variables, in their original order.
     """
@@ -465,13 +464,9 @@ def elimination_ideal(gens: Sequence[Polynomial], drop_vars: Collection[str],
     if not keep:
         raise ValueError("cannot eliminate every variable")
     work_vars = VarSet(tuple(drop) + tuple(keep))
-    if order is None:
-        order = MonomialOrder.block_elimination(len(drop))
-    elif not order.eliminates(len(drop)):
-        raise ValueError(f"{order.name} does not eliminate the first "
-                         f"{len(drop)} variables")
     lifted = [g.on_vars(work_vars) for g in gens]
-    gb = buchberger(lifted, order, timeout=timeout)
+    gb = buchberger(lifted, MonomialOrder.block_elimination(len(drop)),
+                    timeout=timeout)
     keep_vars = VarSet(keep)
     nd = len(drop)
     return [g.on_vars(keep_vars) for g in gb.generators

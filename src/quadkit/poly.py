@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Mono = tuple  # exponent tuple, one nonnegative int per variable
@@ -46,7 +47,7 @@ class VarSet:
     def extend(self, *extra: str) -> "VarSet":
         return VarSet(self.names + extra)
 
-    def fresh_name(self, base: str = "y") -> str:
+    def fresh_name(self, base: str) -> str:
         """A name not already in the set (for slack variables)."""
         name = base
         while name in self._index:
@@ -88,10 +89,6 @@ def mono_lcm(m1: Mono, m2: Mono) -> Mono:
     return tuple(a if a > b else b for a, b in zip(m1, m2))
 
 
-def _grevlex_key(m: Mono):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
 class MonomialOrder:
     """A monomial order: total, multiplicative, with 1 minimal.
 
@@ -129,23 +126,19 @@ class MonomialOrder:
     def block_elimination(cls, split: int) -> "MonomialOrder":
         return cls("block", split)
 
-    def key(self, mono: Mono):
-        """Sort key; larger key means larger monomial."""
-        kind = self.kind
-        if kind == "lex":
-            return mono
-        if kind == "grlex":
-            return (sum(mono), mono)
-        if kind == "grevlex":
-            return _grevlex_key(mono)
-        s = self.split
-        return (_grevlex_key(mono[:s]), _grevlex_key(mono[s:]))
-
-    def eliminates(self, n_drop: int) -> bool:
-        """True if the order makes the first n_drop variables an elimination block."""
+    def key(self, mono: Mono) -> tuple:
+        """Sort key; larger key means larger monomial.  The fields add under
+        multiplication, which lets the Groebner kernel pack them: lex, the
+        exponents; grlex, the degree, then the exponents; grevlex, the prefix
+        sums from the last variable (deg, deg - e_n, ..., e_1); block, those
+        of each block."""
         if self.kind == "lex":
-            return True
-        return self.kind == "block" and self.split == n_drop
+            return mono
+        if self.kind == "grlex":
+            return (sum(mono),) + mono
+        s = self.split or len(mono)  # grevlex is block order with one block
+        return (tuple(accumulate(mono[:s]))[::-1]
+                + tuple(accumulate(mono[s:]))[::-1])
 
     @property
     def name(self) -> str:

@@ -17,6 +17,7 @@ _SIGN_PREC_START = 64
 _SIGN_PREC_CAP = 65536
 _RHO_STEPS = 1 << 18
 _RHO_BITS = 256
+_PRIME_BITS = 1024
 
 
 class RadicalSignError(ArithmeticError):
@@ -115,7 +116,9 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as sorted ((p, e), ...); ValueError
     when a composite part is out of Pollard rho's reach, at once when it has
-    more than `_RHO_BITS` bits (each rho step would square it)."""
+    more than `_RHO_BITS` bits (each rho step would square it).  A part of
+    more than `_PRIME_BITS` bits gets no primality test, whose cost grows
+    with the cube of the length, and is refused unless it is a square."""
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     out: dict[int, int] = {}
@@ -130,7 +133,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_probable_prime(m):
+        if m.bit_length() <= _PRIME_BITS and _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         r = isqrt(m)

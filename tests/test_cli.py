@@ -219,6 +219,36 @@ def test_classify_refuses_oversized_input_at_once(tmp_path, capsys,
     assert err.startswith("error:") and "Pollard rho takes at most" in err
 
 
+@pytest.mark.parametrize("exponent", ["1e2000", "1e4000", "1e10000",
+                                      "1e10000000"])
+def test_long_number_input_exits_at_once(tmp_path, capsys, exponent):
+    # neither a primality test on a 13191-bit number nor Fraction's
+    # expansion of ten million digits runs before the refusal
+    def expire(signum, frame):
+        raise AssertionError("classify ran past 0.5 s")
+    path = _write(tmp_path, {"A": [exponent, "0"], "B": ["1", "0"],
+                             "C": ["0", "1"], "D": ["2", "3"]})
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        rc = main(["classify", path])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("x", [["1e400", "0"], ["-1e308", "0"]])
+def test_render_svg_refuses_coordinates_beyond_float(tmp_path, capsys, x):
+    # 1e400 is no float; -1e308 is, but its span to B = (1e308, 0) is not
+    huge = {"A": x, "B": ["1e308", "0"], "C": ["0", "1"], "D": ["2", "3"]}
+    assert main(["render-svg", _write(tmp_path, huge)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [["--timeout", "-1"], ["--timeout", "inf"],
                                    ["--timeout", "nan"], ["--jobs", "0"],
                                    ["--samples", "-1"]])
