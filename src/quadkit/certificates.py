@@ -680,33 +680,32 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
     meet.  A draw counts when B and D lie on the same side of A along A's
     lines, and of C along C's: reversing both rays at a vertex keeps the angle
     between them.  The exact equal-angle and R_T filters then reject the
-    cyclic draws."""
+    cyclic draws.  Directions are integer triples (x, y, w) for (x/w, y/w),
+    w > 0, so a draw builds no Fraction until it passes the side tests."""
     want = "convex4" if convex else "concave3"
+    randint = rng.randint
     A = Point(Fraction(0), Fraction(0))
     while True:
-        turn = geometry.unit_circle_point(Fraction(rng.randint(1, 30),
-                                                   rng.randint(1, 30)))
-        cx = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        tx, ty, tw = geometry._circle_ints(randint(1, 30), randint(1, 30))
+        cn, cd = randint(1, 8), randint(1, 4)  # C = (cn/cd, 0)
         pairs = []
         for _ in range(2):  # the ray pair at A, then at C
-            u = geometry.unit_circle_point(Fraction(rng.randint(-40, 40),
-                                                    rng.randint(1, 12)))
-            v = Point(turn.x * u.x - turn.y * u.y, turn.y * u.x + turn.x * u.y)
+            u = ux, uy, uw = geometry._circle_ints(randint(-40, 40),
+                                                   randint(1, 12))
+            v = (tx * ux - ty * uy, ty * ux + tx * uy, tw * uw)
             pairs.append((u, v) if rng.random() < 0.5 else (v, u))
-        meets = []
-        for a, c in zip(*pairs):  # lines towards B, then towards D
-            den = c.x * a.y - a.x * c.y
-            if den == 0:
-                break
-            # s*a == (cx, 0) + t*c
-            s, t = -cx * c.y / den, -cx * a.y / den
-            meets.append((s, t, Point(s * a.x, s * a.y)))
-        if len(meets) < 2:
+        # s*a == C + t*q on the line towards B, then towards D: with den =
+        # qx*ay - ax*qy, s has the sign of -qy*den, t that of -ay*den, and
+        # s*a == -C.x*qy*(ax, ay)/den; parallel lines (den 0) fail the test
+        lines = [(ax, ay, qy, qx * ay - ax * qy)
+                 for (ax, ay, _), (qx, qy, _) in zip(*pairs)]
+        (_, ay1, qy1, den1), (_, ay2, qy2, den2) = lines
+        if qy1 * den1 * qy2 * den2 <= 0 or ay1 * den1 * ay2 * den2 <= 0:
             continue
-        (sb, tb, B), (sd, td, D) = meets
-        if sb * sd <= 0 or tb * td <= 0:
-            continue
-        cfg = QuadConfig(A, B, Point(cx, Fraction(0)), D)
+        B, D = (Point(Fraction(-cn * qy * ax, cd * den),
+                      Fraction(-cn * qy * ay, cd * den))
+                for ax, ay, qy, den in lines)
+        cfg = QuadConfig(A, B, Point(Fraction(cn, cd), Fraction(0)), D)
         if not cfg.distinct() or classify_hull(cfg).kind != want:
             continue
         d = cfg.sextuple()
@@ -827,6 +826,17 @@ def _hulls_agree(h1: HullClass, h2: HullClass) -> bool:
             and same_cycle(h1.boundary, h2.boundary))
 
 
+@lru_cache(maxsize=None)
+def _row_verdict(signs: tuple[int, int, int, int]) -> tuple[str | None, bool]:
+    """The sign tables' hull kind of one sign row, None where they refuse
+    it, and whether the orientation oracle agrees with them on the row."""
+    try:
+        h1 = hull_from_signs(signs)
+    except geometry.HullTableError:
+        return None, False
+    return h1.kind, _hulls_agree(h1, _oracle_of_signs(signs))
+
+
 def cert_hull_tables(seed: int = 0, samples: int = 100000) -> Certificate:
     """Empirical validation of the sign tables against the orientation-based
     hull oracle, including the never-realizable sign rows; both read the
@@ -852,15 +862,12 @@ def cert_hull_tables(seed: int = 0, samples: int = 100000) -> Certificate:
                    (bx - ax) * (dy - ay) - (by - ay) * (dx - ax),
                    (cx - bx) * (dy - by) - (cy - by) * (dx - bx),
                    (cx - ax) * (dy - ay) - (cy - ay) * (dx - ax))
-        signs = tuple((v > 0) - (v < 0) for v in crosses)
-        try:
-            h1 = hull_from_signs(signs)
-        except geometry.HullTableError:
+        kind, agree = _row_verdict(tuple((v > 0) - (v < 0) for v in crosses))
+        if kind is None:
             unrealizable_seen += 1
             continue
-        if not _hulls_agree(h1, _oracle_of_signs(signs)):
-            mismatches += 1
-        kinds[h1.kind] += 1
+        mismatches += not agree
+        kinds[kind] += 1
     cert.tier2 = {"samples": samples, "mismatches": mismatches,
                   "unrealizable_patterns": unrealizable_seen,
                   "kinds": kinds, "elapsed_ms": _ms(t0)}

@@ -7,8 +7,8 @@ generators are constructive: rational points on the unit circle, reflected
 across a diagonal where the family asks for it (a folded quadrilateral folds
 D over AC; a tilted kite reflects C of a cyclic ACBD or ACDB configuration
 over BD).  Generators only ever emit rational points, so downstream tests
-are exact; orientations, areas, distances and point equality are computed on
-integer points (`QuadConfig.int_points`).
+are exact; orientations, areas, distances, reflections and point equality
+are computed on integer points (`QuadConfig.int_points`).
 """
 
 from __future__ import annotations
@@ -123,12 +123,6 @@ class QuadConfig:
 
     def points(self) -> tuple[Point, Point, Point, Point]:
         return (self.A, self.B, self.C, self.D)
-
-    def point(self, label: str) -> Point:
-        try:
-            return getattr(self, label)
-        except AttributeError:
-            raise GeometryError(f"vertex must be A/B/C/D, not {label!r}") from None
 
     def cross(self, tri: str) -> int:
         """Twice the signed area of three labeled vertices, e.g. "ABC", on
@@ -317,25 +311,24 @@ def midpoint_distances(d: DistSextuple) -> tuple[Fraction, Fraction, Fraction]:
 # reflections
 # ---------------------------------------------------------------------------
 
-def reflect_point(p: Point, l1: Point, l2: Point) -> Point:
-    """Mirror p across the line through l1, l2 (a rational map)."""
-    if l1 == l2:
-        raise GeometryError("line endpoints coincide")
-    dx = l2.x - l1.x
-    dy = l2.y - l1.y
-    # normal n = (-dy, dx); p' = p - 2((p-l1).n / n.n) n
-    nx, ny = -dy, dx
-    t = ((p.x - l1.x) * nx + (p.y - l1.y) * ny) / (nx * nx + ny * ny)
-    return Point(p.x - 2 * t * nx, p.y - 2 * t * ny)
-
-
 def reflect_over_line(cfg: QuadConfig, vertex: str,
                       line: tuple[str, str]) -> QuadConfig:
-    """Reflect one labeled vertex across the line through two other vertices.
+    """Reflect one labeled vertex across the line through two other vertices:
+    p' = p - 2((p-l1).n / n.n) n on the integer points, n the line's normal.
     Distances from the moved vertex to the line's endpoints are unchanged."""
-    l1, l2 = (cfg.point(line[0]), cfg.point(line[1]))
-    moved = reflect_point(cfg.point(vertex), l1, l2)
-    return cfg.replace(vertex, moved)
+    pts = cfg.int_points
+    try:
+        (px, py), (ax, ay), (bx, by) = (pts[v] for v in (vertex, *line[:2]))
+    except KeyError as exc:
+        raise GeometryError(
+            f"vertex must be A/B/C/D, not {exc.args[0]!r}") from None
+    nx, ny = ay - by, bx - ax
+    nn = nx * nx + ny * ny
+    if nn == 0:
+        raise GeometryError("line endpoints coincide")
+    k, den = 2 * ((px - ax) * nx + (py - ay) * ny), nn * cfg.int_scale
+    return cfg.replace(vertex, Point(Fraction(px * nn - k * nx, den),
+                                     Fraction(py * nn - k * ny, den)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +395,16 @@ def _rand_fraction(rng: random.Random, lo: int, hi: int, max_den: int = 12
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
+def _circle_ints(n: int, d: int) -> tuple[int, int, int]:
+    """The unit-circle point of t = n/d (d != 0) as (x/w, y/w), w > 0."""
+    return d * d - n * n, 2 * n * d, d * d + n * n
+
+
 def unit_circle_point(t: Fraction) -> Point:
     """Tangent half-angle parametrization of the rational unit circle."""
     t = Fraction(t)
-    den = 1 + t * t
-    return Point((1 - t * t) / den, 2 * t / den)
+    x, y, w = _circle_ints(t.numerator, t.denominator)
+    return Point(Fraction(x, w), Fraction(y, w))
 
 
 def gen_cyclic(seed_or_rng, order: str = "ABCD") -> QuadConfig:
@@ -495,6 +493,8 @@ def _draw_quad(rng: random.Random, span: int, max_den: int
     """The (numerator, denominator) draws x_A, y_A, ..., y_D of the first
     distinct quad, and its coordinates as integers n * (L // d), L the lcm
     of the drawn denominators, on which the points are compared."""
+    if span < 1:  # span 0 draws only the origin: never four distinct points
+        raise GeometryError(f"span must be >= 1, not {span}")
     randint = rng.randint
     while True:
         draw = [(randint(-span, span), randint(1, max_den)) for _ in range(8)]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -16,7 +17,8 @@ from quadkit.certificates import (CERTIFIED, CLAIMS, FAILED, INCONCLUSIVE,
                                   ptolemy_scheme, r_scheme, run_certificates,
                                   t_scheme)
 from quadkit.geometry import (HullClass, QuadConfig, classify_hull,
-                              config_to_obj, random_quad)
+                              config_to_obj, hull_from_signs, random_quad,
+                              unrealizable_patterns)
 from quadkit.radicals import RadicalValue
 
 
@@ -262,6 +264,32 @@ def test_random_draws_and_hull_tier2_pinned():
                          "unrealizable_patterns": 0, "kinds": counts}
 
 
+def test_ray_kite_streams_pinned():
+    # recorded before the ray-kite draws moved to integers: 150 kites of
+    # each hull kind, then the next 64 bits, so the rng calls are pinned too
+    want = {True: "aff6b3ab5f091da25774d08735d36ce1"
+                  "9f1fa5ac75ef021fde76b174a29932cb",
+            False: "309a370ca047f2398ebe561359f05862"
+                   "6fd0ab9ac3a975d27e9f47feb8cb7be8"}
+    for convex, digest in want.items():
+        rng = random.Random(2027 if convex else 2028)
+        h = hashlib.sha256()
+        for _ in range(150):
+            kite = certificates._ray_kite(rng, convex)
+            h.update(json.dumps(config_to_obj(kite)).encode())
+        h.update(str(rng.getrandbits(64)).encode())
+        assert h.hexdigest() == digest, convex
+
+
+def test_reflection_tier2_pinned():
+    # recorded before the reflection moved to integer points
+    part = {"samples": 50, "violations": 0}
+    assert cert_reflection_theorem(seed=2, samples=50).tier2 == {
+        "cyclic_ACBD_to_reflected_RT_zero": part,
+        "kite_to_reflected_PTQT_zero": part,
+        "PTQT_nonzero_keeps_reflected_RT_nonzero": part}
+
+
 def test_hull_set_mismatch_fails_the_claim(monkeypatch):
     table = dict(certificates._elim_targets())
     tgt, lhs, rhs = table["N_R"]
@@ -274,6 +302,22 @@ def test_hull_set_mismatch_fails_the_claim(monkeypatch):
     assert "MISMATCH" in cert.notes[0]
     # the sampled hulls still fit the sets the sign tables allow
     assert cert.tier2["hull_violations"] == 0
+
+
+def test_row_verdict_on_all_81_sign_rows():
+    # both classifiers read only the four signs, so these 81 rows are the
+    # whole of the agreement check
+    rows = list(product((-1, 0, 1), repeat=4))
+    refused = {r for r in rows if certificates._row_verdict(r)[0] is None}
+    assert refused == (unrealizable_patterns()
+                       | {r for r in rows if r.count(0) in (2, 3)})
+    assert len(refused) == 2 + 24 + 8
+    kept = [r for r in rows if r not in refused]
+    assert [sum(r.count(0) == z for r in kept) for z in (0, 1, 4)] == \
+        [14, 32, 1]
+    for r in kept:
+        assert certificates._row_verdict(r) == (hull_from_signs(r).kind,
+                                                True), r
 
 
 def test_oracle_hull_agrees_on_known_shapes():

@@ -111,6 +111,26 @@ def test_generate_concave_kite_hull(capsys):
         assert signs["R_T"] == 0 and signs["K_T"] == 0
 
 
+@pytest.mark.parametrize("family, digest", [
+    (["cyclic"],
+     "add7011fefb7eeffe6aadf8bfb05260ae22c3fe6bd2dcc3096c561e8ad4fa9d8"),
+    (["tilted_kite"],
+     "fb1d7442c4a4bb717b19f97ae4ad3fab6191f731b8e03c408a5bb76fe20489be"),
+    (["tilted_kite", "--concave"],
+     "be1654bcc58108ab5d10ce2952698869991bc3beed70139541f23a7a4d7f249e"),
+    (["folded"],
+     "947376da6f9f5c6a93f0c133663b246ba07718f94b26e425e3ef72c313ab6d6d"),
+    (["reflected"],
+     "6e2b6be409a183d700cd228dd8e7dbdfe2937e7ccd85b98cb69bfeec6ff6f9db"),
+])
+def test_generate_jsonl_pinned(capsys, family, digest):
+    # sha256 of the JSONL, recorded before the unit-circle map and the
+    # reflection moved to integers
+    assert main(["generate", *family, "--count", "20", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_generate_rejects_bad_count(capsys):
     assert main(["generate", "cyclic", "--count", "0"]) == 1
 

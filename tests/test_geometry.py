@@ -1,11 +1,14 @@
 import json
 import random
+import signal
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadkit.certificates import (_degenerate_families, _hulls_agree,
                                   oracle_hull)
@@ -330,10 +333,50 @@ def test_reflection_fixes_points_on_line():
     assert reflect_over_line(cfg, "C", ("A", "B")).C == cfg.C
 
 
+def _reference_reflect_point(p, l1, l2):
+    # the Fraction form of the reflection, kept as a reference
+    dx, dy = l2.x - l1.x, l2.y - l1.y
+    nx, ny = -dy, dx
+    t = ((p.x - l1.x) * nx + (p.y - l1.y) * ny) / (nx * nx + ny * ny)
+    return Point(p.x - 2 * t * nx, p.y - 2 * t * ny)
+
+
+_coords = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_coords, min_size=8, max_size=8),
+       st.sampled_from(["free", "horizontal", "vertical"]),
+       st.sampled_from([("C", ("B", "D")), ("D", ("A", "C")),
+                        ("A", ("D", "B"))]))
+def test_reflection_matches_fraction_reference(coords, line_kind, move):
+    vertex, (u, v) = move
+    pts = {label: Point(coords[2 * i], coords[2 * i + 1])
+           for i, label in enumerate("ABCD")}
+    if line_kind == "horizontal":
+        pts[v] = Point(pts[v].x, pts[u].y)
+    elif line_kind == "vertical":
+        pts[v] = Point(pts[u].x, pts[v].y)
+    cfg = QuadConfig(**pts)
+    if pts[u] == pts[v]:
+        with pytest.raises(GeometryError):
+            reflect_over_line(cfg, vertex, (u, v))
+        return
+    want = _reference_reflect_point(pts[vertex], pts[u], pts[v])
+    assert reflect_over_line(cfg, vertex, (u, v)) == cfg.replace(vertex, want)
+
+
 def test_reflection_rejects_degenerate_line():
     cfg = QuadConfig.of((0, 0), (0, 0), (1, 1), (2, 2))
     with pytest.raises(GeometryError):
         reflect_over_line(cfg, "C", ("A", "B"))
+
+
+@pytest.mark.parametrize("vertex, line", [("E", ("B", "D")),
+                                          ("C", ("B", "x"))])
+def test_reflection_rejects_unknown_label(vertex, line):
+    with pytest.raises(GeometryError, match="vertex must be"):
+        reflect_over_line(SQUARE, vertex, line)
 
 
 # -- generators ------------------------------------------------------------------------
@@ -343,6 +386,14 @@ def test_unit_circle_points_are_on_circle():
               Fraction(7, 5)):
         p = unit_circle_point(t)
         assert p.x * p.x + p.y * p.y == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(max_denominator=10 ** 6))
+def test_unit_circle_point_matches_formula(t):
+    p = unit_circle_point(t)
+    assert p == Point((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+    assert type(p.x) is type(p.y) is Fraction
 
 
 def test_gen_cyclic_orders_and_determinism():
@@ -408,6 +459,24 @@ def test_gen_tilted_kite_reflection_construction():
 def test_gen_collinear_inorder():
     cfg = gen_collinear_inorder(3)
     assert classify_hull(cfg).kind == "collinear4"
+
+
+@pytest.mark.parametrize("span", [0, -3])
+def test_random_quad_refuses_empty_span_at_once(span):
+    # span 0 can only draw the origin, so the redraw loop never ended
+    def expire(signum, frame):
+        raise AssertionError("random_quad ran past 1 s")
+    rng = random.Random(5)
+    state = rng.getstate()
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(GeometryError, match="span"):
+            random_quad(rng, span=span)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert rng.getstate() == state  # refused before any draw
 
 
 # -- JSON / SVG -----------------------------------------------------------------------------
