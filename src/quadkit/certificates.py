@@ -2,11 +2,12 @@
 certificate reports.
 
 Every certificate is two-tier where that makes sense: tier 1 is a symbolic
-Groebner computation (unit basis or radical membership) under a wall-clock
-budget, tier 2 an exact-rational sampling fallback.  One rule (`_status`)
-turns the tiers into a status: symbolic success yields CERTIFIED, sampling
-alone SUPPORTED or TIER2-ONLY, and no finished tier INCONCLUSIVE; the report
-never confuses the two.
+Groebner computation under a wall-clock budget (a target in the radical of
+the scheme ideal), tier 2 an exact-rational sampling fallback.  One runner
+(`_certify`) runs every claim, and one rule (`_status`) turns the tiers into
+a status: symbolic success yields CERTIFIED, sampling alone SUPPORTED or
+TIER2-ONLY, and no finished tier INCONCLUSIVE; the report never confuses the
+two.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, Point, QuadConfig,
                        gen_tilted_kite, hull_from_signs, hull_table,
                        random_quad, reflect_over_line, same_cycle,
                        signed_areas, supplementary_witness)
-from .groebner import (GroebnerTimeout, buchberger, rabinowitsch,
-                       radical_membership)
+from .groebner import GroebnerTimeout, radical_membership
 from .poly import GREVLEX, Polynomial, VarSet, det
 
 CERTIFIED = "CERTIFIED"
@@ -66,20 +66,76 @@ def _ms(t0: float) -> int:
     return int((time.monotonic() - t0) * 1000)
 
 
-def _status(tier1: bool | None, two_tier: bool, samples: int,
+def _status(verdict: bool | None, has_tier1: bool, samples: int,
             violations: int) -> str:
     """The status of every claim: a false tier 1 (True, False, or None when
     absent or unfinished) or any tier-2 violation fails it, a true tier 1
     certifies it, and otherwise samples alone give TIER2-ONLY on a two-tier
     claim or SUPPORTED on a sampling-only one; with no sample it stays
     INCONCLUSIVE."""
-    if tier1 is False or violations:
+    if verdict is False or violations:
         return FAILED
-    if tier1:
+    if verdict:
         return CERTIFIED
     if not samples:
         return INCONCLUSIVE
-    return TIER2_ONLY if two_tier else SUPPORTED
+    return TIER2_ONLY if has_tier1 else SUPPORTED
+
+
+def _tally(record: dict) -> tuple[int, int]:
+    """Samples and violations of a tier-2 record and its parts: every
+    `samples` count, and every count named for violations or mismatches,
+    plus `unrealizable_patterns`."""
+    samples = violations = 0
+    for key, v in record.items():
+        if isinstance(v, dict):
+            s, bad = _tally(v)
+            samples += s
+            violations += bad
+        elif key == "samples":
+            samples += v
+        elif ("violations" in key or "mismatches" in key
+              or key == "unrealizable_patterns"):
+            violations += v
+    return samples, violations
+
+
+def _certify(claim: str, description: str,
+             tier2: Callable[[], tuple[dict, list[str]]],
+             timeout: float = 0.0,
+             tier1: tuple[str, Polynomial, list[Polynomial]] | None = None
+             ) -> Certificate:
+    """The runner of every claim.  A symbolic claim's tier 1 (verdict key,
+    f, gens) asks within `timeout` seconds whether f lies in the radical of
+    <gens>, and is skipped at 0; tier 2 returns its record and notes.  The
+    status is read from the verdict and the record's tally."""
+    t0 = time.monotonic()
+    cert = Certificate(claim, description)
+    verdict = None
+    if tier1 is not None:
+        key, f, gens = tier1
+        cert.order = GREVLEX.name
+        cert.ideal = [g.to_text(GREVLEX) for g in gens]
+        if timeout <= 0:
+            cert.tier1 = {"completed": False, "method": None,
+                          "note": "tier 1 skipped (budget 0)"}
+        else:
+            try:
+                verdict = radical_membership(f, gens, timeout=timeout)
+                cert.tier1 = {"completed": True,
+                              "method": "radical-membership", key: verdict}
+            except GroebnerTimeout:
+                cert.tier1 = {"completed": False, "method": None, key: None,
+                              "note": f"budget {timeout}s exceeded"}
+            cert.tier1["elapsed_ms"] = _ms(t0)
+        cert.reduced_basis = ["1"] if verdict else None
+    t2 = time.monotonic()
+    cert.tier2, cert.notes = tier2()
+    if "samples" in cert.tier2:  # a record in parts keeps no time of its own
+        cert.tier2["elapsed_ms"] = _ms(t2)
+    cert.status = _status(verdict, tier1 is not None, *_tally(cert.tier2))
+    cert.elapsed_ms = _ms(t0)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -163,59 +219,41 @@ def t_scheme() -> CoordinateScheme:
 
 def cert_converse_ptolemy(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
                           samples: int = 500) -> Certificate:
-    """Reduced basis of <f1..f5, P, 1 - t*Ccirc> is {1}: on the distance
-    variety, P = 0 forces the cocircularity determinant to vanish."""
-    t0 = time.monotonic()
-    cert = Certificate(
-        "converse_ptolemy",
-        "P = 0 forces four planar points onto a circle or a line "
-        "(unit reduced basis of the slack-augmented ideal)")
+    """The cocircularity quartic lies in the radical of <f1..f5, P>: on the
+    distance variety, P = 0 forces the determinant to vanish."""
     scheme = ptolemy_scheme()
     quartic = scheme.cocircle()
-    gens = rabinowitsch(quartic, scheme.ideal(condition_poly("P")))
-    order = GREVLEX
-    cert.order = order.name
-    cert.ideal = [g.to_text(order) for g in gens]
-    cert.notes.append(
-        "cocircularity quartic derived from the 4x4 lifting determinant: "
-        f"{quartic.to_text(order)}; the v^2*z coefficient is -1 times the "
-        "leading a factor (single occurrence)")
-    t1_start = time.monotonic()
-    try:
-        gb = buchberger(gens, order, timeout=timeout)
-        cert.reduced_basis = gb.texts()
-        unit = gb.is_unit()
-        cert.tier1 = {"completed": True, "unit_basis": unit,
-                      "elapsed_ms": _ms(t1_start)}
-    except GroebnerTimeout:
-        unit = None
-        cert.tier1 = {"completed": False, "unit_basis": None,
-                      "elapsed_ms": _ms(t1_start),
-                      "note": f"budget {timeout}s exceeded"}
-    # tier 2: exact cyclic samples satisfy P = 0 and the determinant vanishes;
-    # random non-cocircular samples keep the determinant nonzero
-    t2_start = time.monotonic()
-    rng = random.Random(seed)
-    bad = 0
-    nonzero_controls = 0
-    for i in range(samples):
-        if i % 25 == 24:
-            cfg = gen_collinear_inorder(rng)
-        else:
-            cfg = gen_cyclic(rng, "ABCD" if i % 2 == 0 else "ADCB")
-        if not eval_condition("P", cfg.sextuple()).is_zero:
-            bad += 1
-        elif cocircularity(cfg) != 0:
-            bad += 1
-        ctrl = random_quad(rng)
-        if cocircularity(ctrl) != 0:
-            nonzero_controls += 1
-    cert.tier2 = {"samples": samples, "violations": bad,
-                  "nonzero_determinant_controls": nonzero_controls,
-                  "elapsed_ms": _ms(t2_start)}
-    cert.status = _status(unit, True, samples, bad)
-    cert.elapsed_ms = _ms(t0)
-    return cert
+
+    def tier2():
+        # exact cyclic samples satisfy P = 0 and the determinant vanishes;
+        # random non-cocircular samples keep the determinant nonzero
+        rng = random.Random(seed)
+        bad = 0
+        nonzero_controls = 0
+        for i in range(samples):
+            if i % 25 == 24:
+                cfg = gen_collinear_inorder(rng)
+            else:
+                cfg = gen_cyclic(rng, "ABCD" if i % 2 == 0 else "ADCB")
+            if not eval_condition("P", cfg.sextuple()).is_zero:
+                bad += 1
+            elif cocircularity(cfg) != 0:
+                bad += 1
+            ctrl = random_quad(rng)
+            if cocircularity(ctrl) != 0:
+                nonzero_controls += 1
+        return ({"samples": samples, "violations": bad,
+                 "nonzero_determinant_controls": nonzero_controls},
+                ["cocircularity quartic derived from the 4x4 lifting "
+                 f"determinant: {quartic.to_text(GREVLEX)}; the v^2*z "
+                 "coefficient is -1 times the leading a factor (single "
+                 "occurrence)"])
+
+    return _certify(
+        "converse_ptolemy",
+        "P = 0 forces four planar points onto a circle or a line "
+        "(unit reduced basis of the slack-augmented ideal)", tier2, timeout,
+        ("unit_basis", quartic, scheme.ideal(condition_poly("P"))))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +382,7 @@ def elimination_tier2(targets: Sequence[str], samples: int = 1000,
     by_family: dict[str, list[str]] = {}
     results: dict[str, dict] = {}
     allowed: dict[str, dict[int, set[str]]] = {}
-    for t in targets:
+    for t in dict.fromkeys(targets):  # a repeated target runs once
         if t not in table:
             raise ValueError(f"unknown elimination target {t!r}")
         tgt = table[t][0]
@@ -390,70 +428,43 @@ def elimination_tier2(targets: Sequence[str], samples: int = 1000,
     return results
 
 
-def _tier1_elimination(target: str, timeout: float) -> dict:
-    """Symbolic tier: a radical-membership certificate that the relation
-    A' * value^power - B' vanishes on the scheme's variety, within
-    `timeout`."""
-    t0 = time.monotonic()
+def cert_elimination_formula(target: str, seed: int = 0,
+                             timeout: float = DEFAULT_TIMEOUT,
+                             samples: int = 1000) -> Certificate:
+    """Two-tier verification of one closed-form area or area-product
+    formula: the relation A' * value^power - B' lies in the radical of the
+    scheme ideal."""
+    if target not in _elim_targets():
+        raise ValueError(f"unknown elimination target {target!r}; "
+                         f"one of {', '.join(ELIM_TARGETS)}")
     tgt, lhs_poly, rhs_poly = _elim_targets()[target]
     scheme = _scheme(tgt.constraint)
     area = prod(scheme.area2(tri) for tri in tgt.triangles)
     rel = (lhs_poly.on_vars(scheme.vars) * area ** tgt.power
            - rhs_poly.on_vars(scheme.vars))
-    gens = scheme.ideal(condition_poly(tgt.constraint))
-    try:
-        ok = radical_membership(rel, gens, timeout=max(
-            t0 + timeout - time.monotonic(), 0))
-    except GroebnerTimeout:
-        return {"completed": False, "method": None,
-                "radical_attempt_ms": _ms(t0)}
-    return {"completed": True, "method": "radical-membership",
-            "relation_on_variety": ok, "elapsed_ms": _ms(t0)}
 
-
-def cert_elimination_formula(target: str, seed: int = 0,
-                             timeout: float = DEFAULT_TIMEOUT,
-                             samples: int = 1000) -> Certificate:
-    """Two-tier verification of one closed-form area or area-product
-    formula."""
-    if target not in _elim_targets():
-        raise ValueError(f"unknown elimination target {target!r}; "
-                         f"one of {', '.join(ELIM_TARGETS)}")
-    t0 = time.monotonic()
-    tgt = _elim_targets()[target][0]
-    scheme = _scheme(tgt.constraint)
-    cert = Certificate(
-        f"elim_{target}",
-        f"closed form for {tgt.area_spec} on the {tgt.constraint} = 0 "
-        f"family ({scheme.name} placement)")
-    cert.order = GREVLEX.name
-    cert.ideal = [g.to_text(GREVLEX) for g in
-                  scheme.ideal(condition_poly(tgt.constraint))]
-    cert.tier1 = (_tier1_elimination(target, timeout) if timeout > 0 else
-                  {"completed": False, "method": None,
-                   "note": "tier 1 skipped (budget 0)"})
-
-    t2 = time.monotonic()
-    stats = elimination_tier2([target], samples=samples, seed=seed)[target]
-    stats["elapsed_ms"] = _ms(t2)
-    cert.tier2 = stats
-    violations = stats["mismatches"] + sum(
-        v for k, v in stats.items() if k.endswith("violations"))
-    if tgt.hulls is not None:
+    def tier2():
+        stats = elimination_tier2([target], samples=samples,
+                                  seed=seed)[target]
+        if tgt.hulls is None:
+            return stats, []
         # the stated hull sets must be the ones the sign tables allow
         derived = _hull_sets(tgt)
+        stats["hull_set_mismatches"] = int(derived != tgt.hulls)
         claim = f"{tgt.area_spec}{'<=' if tgt.sign < 0 else '>='}0"
-        cert.notes.append(
+        return stats, [
             f"hull sets from the sign tables under {claim}: "
             f"{ {k: sorted(v) for k, v in derived.items()} }; "
             + ("matches the expected statement lists"
                if derived == tgt.hulls else
-               f"MISMATCH vs expected {tgt.hulls}"))
-        violations += derived != tgt.hulls
-    cert.status = _status(cert.tier1.get("relation_on_variety"), True,
-                          stats["samples"], violations)
-    cert.elapsed_ms = _ms(t0)
-    return cert
+               f"MISMATCH vs expected {tgt.hulls}")]
+
+    return _certify(
+        f"elim_{target}",
+        f"closed form for {tgt.area_spec} on the {tgt.constraint} = 0 "
+        f"family ({scheme.name} placement)", tier2, timeout,
+        ("relation_on_variety", rel,
+         scheme.ideal(condition_poly(tgt.constraint))))
 
 
 # ---------------------------------------------------------------------------
@@ -505,67 +516,48 @@ def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
                             samples: int = 300) -> Certificate:
     """R_T = 0 with ad = bc: radical membership of the displayed side-equality
     product, plus exact samples of the constraint set."""
-    t0 = time.monotonic()
-    cert = Certificate(
-        "parallelogram_case",
-        "on the R_T = 0, ad = bc slice, b^2c^2(a-c)^2(a+c)^2(a-b)^2(a+b)^2 "
-        "lies in the radical: sides pair up as a=c,b=d or a=b,c=d")
     scheme = t_scheme()
-    V = scheme.vars
-    a, b, c, d = (Polynomial.variable(V, n) for n in "abcd")
+    a, b, c, d = (Polynomial.variable(scheme.vars, n) for n in "abcd")
     target = (b ** 2 * c ** 2 * (a - c) ** 2 * (a + c) ** 2
               * (a - b) ** 2 * (a + b) ** 2)
-    J = scheme.ideal(condition_poly("R_T"), a * d - b * c)
-    cert.order = GREVLEX.name
-    cert.ideal = [g.to_text(GREVLEX) for g in J]
-    t1_start = time.monotonic()
-    member: bool | None = None
-    try:
-        member = radical_membership(target, J, timeout=timeout)
-        cert.tier1 = {"completed": True, "radical_member": member,
-                      "target": target.to_text(GREVLEX),
-                      "elapsed_ms": _ms(t1_start)}
-        cert.reduced_basis = ["1"] if member else None
-    except GroebnerTimeout:
-        cert.tier1 = {"completed": False, "radical_member": None,
-                      "elapsed_ms": _ms(t1_start),
-                      "note": f"budget {timeout}s exceeded"}
 
-    rng = random.Random(seed)
-    t2_start = time.monotonic()
-    branch_bad = law_bad_ac = rt_bad = 0
-    kite_law_holds = 0
-    makers = (_parallelogram, _rhombus, _symmetric_kite)
-    for i in range(samples):
-        maker = makers[i % 3]
-        d6 = maker(rng).sextuple()
-        if d6.qa * d6.qd != d6.qb * d6.qc:
-            branch_bad += 1
-            continue
-        if not geometry.rt_condition_is_zero(d6):
-            rt_bad += 1
-        first = d6.qa == d6.qc and d6.qb == d6.qd
-        second = d6.qa == d6.qb and d6.qc == d6.qd
-        if not (first or second):
-            branch_bad += 1
-        plaw = 2 * d6.qa + 2 * d6.qb - d6.qe - d6.qf
-        if first and plaw != 0:
-            law_bad_ac += 1
-        if maker is _symmetric_kite and not first and plaw == 0:
-            kite_law_holds += 1
-    cert.tier2 = {"samples": samples, "branch_violations": branch_bad,
-                  "rt_violations": rt_bad,
-                  "parallelogram_law_violations_on_a=c_branch": law_bad_ac,
-                  "elapsed_ms": _ms(t2_start)}
-    cert.notes.append(
-        "non-rhombic kites (a=b, c=d, a!=c) satisfy R_T = 0 and ad = bc but "
-        "not the parallelogram law 2a^2+2b^2-e^2-f^2 = 0, e.g. A(0,0) B(2,1) "
-        "C(4,0) D(2,-2) gives the law value -5: the law is specific to the "
-        "a=c, b=d branch")
-    cert.status = _status(member, True, samples, branch_bad + law_bad_ac
-                          + rt_bad + kite_law_holds)
-    cert.elapsed_ms = _ms(t0)
-    return cert
+    def tier2():
+        rng = random.Random(seed)
+        branch_bad = law_bad_ac = rt_bad = 0
+        kite_law_holds = 0
+        makers = (_parallelogram, _rhombus, _symmetric_kite)
+        for i in range(samples):
+            maker = makers[i % 3]
+            d6 = maker(rng).sextuple()
+            if d6.qa * d6.qd != d6.qb * d6.qc:
+                branch_bad += 1
+                continue
+            if not geometry.rt_condition_is_zero(d6):
+                rt_bad += 1
+            first = d6.qa == d6.qc and d6.qb == d6.qd
+            second = d6.qa == d6.qb and d6.qc == d6.qd
+            if not (first or second):
+                branch_bad += 1
+            plaw = 2 * d6.qa + 2 * d6.qb - d6.qe - d6.qf
+            if first and plaw != 0:
+                law_bad_ac += 1
+            if maker is _symmetric_kite and not first and plaw == 0:
+                kite_law_holds += 1
+        return ({"samples": samples, "branch_violations": branch_bad,
+                 "rt_violations": rt_bad,
+                 "parallelogram_law_violations_on_a=c_branch": law_bad_ac,
+                 "kite_law_violations": kite_law_holds},
+                ["non-rhombic kites (a=b, c=d, a!=c) satisfy R_T = 0 and "
+                 "ad = bc but not the parallelogram law 2a^2+2b^2-e^2-f^2 = "
+                 "0, e.g. A(0,0) B(2,1) C(4,0) D(2,-2) gives the law value "
+                 "-5: the law is specific to the a=c, b=d branch"])
+
+    return _certify(
+        "parallelogram_case",
+        "on the R_T = 0, ad = bc slice, b^2c^2(a-c)^2(a+c)^2(a-b)^2(a+b)^2 "
+        "lies in the radical: sides pair up as a=c,b=d or a=b,c=d", tier2,
+        timeout, ("radical_member", target,
+                  scheme.ideal(condition_poly("R_T"), a * d - b * c)))
 
 
 # ---------------------------------------------------------------------------
@@ -621,51 +613,53 @@ def _degenerate_families() -> dict[str, tuple]:
     }
 
 
-def cert_degenerate_cases(family: str, seed: int = 0,
-                          samples: int = 200) -> Certificate:
+def cert_degenerate_cases(family: str, seed: int = 0, samples: int = 200,
+                          timeout: float | None = None) -> Certificate:
     """Constructs the collinear degenerate families explicitly and verifies
     the condition polynomial, the vanishing areas, and the isosceles
-    relations exactly."""
+    relations exactly.  Sampling only, so `timeout` is ignored."""
     if family not in ("R", "R_T"):
         raise ValueError("family must be 'R' or 'R_T'")
-    t0 = time.monotonic()
     is_zero, axis, free_point, free_first, cases = \
         _degenerate_families()[family]
-    cert = Certificate(
+
+    def tier2():
+        rng = random.Random(seed)
+        checks = {case[0]: 0 for case in cases}
+        bad = 0
+        for _ in range(samples):
+            h, k = _apex(rng)
+            if free_first:
+                x = free_point(rng, Fraction(0), 2 * h)
+            (name, place, flat, (s1, s2), witness, zero,
+             redraw) = rng.choice(cases)
+            if redraw:
+                h, k = _apex(rng)
+            if redraw or not free_first:
+                x = free_point(rng, Fraction(0), 2 * h)
+            if x == h:
+                continue  # the free point at the apex's foot (B = D when flat)
+            cfg = QuadConfig.of(*place(h, k, x))
+            d6 = cfg.sextuple()
+            areas = signed_areas(cfg).as_tuple()
+            ok = ({t for t, ar in zip(TRIANGLES, areas) if ar == 0}
+                  == set(flat)
+                  and is_zero(d6)
+                  and getattr(d6, axis) == 4 * h * h
+                  and getattr(d6, s1) == getattr(d6, s2)
+                  and (witness is None or witness(d6))
+                  and (zero is None
+                       or eval_poly_on_sextuple(zero, d6).is_zero))
+            checks[name] += 1
+            bad += not ok
+        return ({"samples": sum(checks.values()), "by_case": checks,
+                 "violations": bad}, [])
+
+    return _certify(
         f"degenerate_{'R' if family == 'R' else 'RT'}",
         f"degenerate (collinear) configurations of the {family} = 0 family: "
-        "collinear triple + isosceles side pair, and the all-collinear case")
-    rng = random.Random(seed)
-    checks = {case[0]: 0 for case in cases}
-    bad = 0
-    for _ in range(samples):
-        h, k = _apex(rng)
-        if free_first:
-            x = free_point(rng, Fraction(0), 2 * h)
-        name, place, flat, (s1, s2), witness, zero, redraw = rng.choice(cases)
-        if redraw:
-            h, k = _apex(rng)
-        if redraw or not free_first:
-            x = free_point(rng, Fraction(0), 2 * h)
-        if x == h:
-            continue  # the free point at the apex's foot (B = D when flat)
-        cfg = QuadConfig.of(*place(h, k, x))
-        d6 = cfg.sextuple()
-        areas = signed_areas(cfg).as_tuple()
-        ok = ({t for t, ar in zip(TRIANGLES, areas) if ar == 0} == set(flat)
-              and is_zero(d6)
-              and getattr(d6, axis) == 4 * h * h
-              and getattr(d6, s1) == getattr(d6, s2)
-              and (witness is None or witness(d6))
-              and (zero is None or eval_poly_on_sextuple(zero, d6).is_zero))
-        checks[name] += 1
-        bad += not ok
-    n = sum(checks.values())
-    cert.tier2 = {"samples": n, "by_case": checks, "violations": bad,
-                  "elapsed_ms": _ms(t0)}
-    cert.status = _status(None, False, n, bad)
-    cert.elapsed_ms = _ms(t0)
-    return cert
+        "collinear triple + isosceles side pair, and the all-collinear case",
+        tier2)
 
 
 # ---------------------------------------------------------------------------
@@ -713,66 +707,63 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
             return cfg
 
 
-def cert_reflection_theorem(seed: int = 0, samples: int = 500) -> Certificate:
+def cert_reflection_theorem(seed: int = 0, samples: int = 500,
+                            timeout: float | None = None) -> Certificate:
     """Reflecting C across line BD swaps the tilted-kite condition with
-    cocircularity: R_T(reflected) = 0 iff P_T * Q_T = 0."""
-    t0 = time.monotonic()
-    cert = Certificate(
+    cocircularity: R_T(reflected) = 0 iff P_T * Q_T = 0.  Sampling only, so
+    `timeout` is ignored."""
+    def tier2():
+        rng = random.Random(seed)
+        fwd_bad = rev_bad = neg_bad = 0
+        done_fwd = done_rev = done_neg = 0
+        while done_fwd < samples:
+            cfg = gen_cyclic(rng, "ACBD")
+            d6 = cfg.sextuple()
+            refl = reflect_over_line(cfg, "C", ("B", "D"))
+            if not refl.distinct():
+                continue
+            done_fwd += 1
+            if not eval_condition("Q_T", d6).is_zero:
+                fwd_bad += 1
+            elif not eval_condition("R_T", refl.sextuple()).is_zero:
+                fwd_bad += 1
+        while done_rev < samples:
+            cfg = _ray_kite(rng, convex=bool(rng.random() < 0.5))
+            refl = reflect_over_line(cfg, "C", ("B", "D"))
+            if not refl.distinct():
+                continue
+            done_rev += 1
+            if not eval_condition("R_T", cfg.sextuple()).is_zero:
+                rev_bad += 1
+                continue
+            dr = refl.sextuple()
+            pt = eval_condition("P_T", dr)
+            qt = eval_condition("Q_T", dr)
+            if not (pt * qt).is_zero:
+                rev_bad += 1
+        while done_neg < samples:
+            cfg = random_quad(rng)
+            d6 = cfg.sextuple()
+            pq = eval_condition("P_T", d6) * eval_condition("Q_T", d6)
+            if pq.is_zero:
+                continue
+            refl = reflect_over_line(cfg, "C", ("B", "D"))
+            if not refl.distinct():
+                continue
+            done_neg += 1
+            if eval_condition("R_T", refl.sextuple()).is_zero:
+                neg_bad += 1
+        return ({"cyclic_ACBD_to_reflected_RT_zero":
+                 {"samples": done_fwd, "violations": fwd_bad},
+                 "kite_to_reflected_PTQT_zero":
+                 {"samples": done_rev, "violations": rev_bad},
+                 "PTQT_nonzero_keeps_reflected_RT_nonzero":
+                 {"samples": done_neg, "violations": neg_bad}}, [])
+
+    return _certify(
         "reflection_theorem",
         "R_T after reflecting C over BD vanishes exactly when P_T*Q_T "
-        "vanishes before")
-    rng = random.Random(seed)
-    fwd_bad = rev_bad = neg_bad = 0
-    done_fwd = done_rev = done_neg = 0
-    while done_fwd < samples:
-        cfg = gen_cyclic(rng, "ACBD")
-        d6 = cfg.sextuple()
-        refl = reflect_over_line(cfg, "C", ("B", "D"))
-        if not refl.distinct():
-            continue
-        done_fwd += 1
-        if not eval_condition("Q_T", d6).is_zero:
-            fwd_bad += 1
-        elif not eval_condition("R_T", refl.sextuple()).is_zero:
-            fwd_bad += 1
-    while done_rev < samples:
-        cfg = _ray_kite(rng, convex=bool(rng.random() < 0.5))
-        refl = reflect_over_line(cfg, "C", ("B", "D"))
-        if not refl.distinct():
-            continue
-        done_rev += 1
-        if not eval_condition("R_T", cfg.sextuple()).is_zero:
-            rev_bad += 1
-            continue
-        dr = refl.sextuple()
-        pt = eval_condition("P_T", dr)
-        qt = eval_condition("Q_T", dr)
-        if not (pt * qt).is_zero:
-            rev_bad += 1
-    while done_neg < samples:
-        cfg = random_quad(rng)
-        d6 = cfg.sextuple()
-        pq = eval_condition("P_T", d6) * eval_condition("Q_T", d6)
-        if pq.is_zero:
-            continue
-        refl = reflect_over_line(cfg, "C", ("B", "D"))
-        if not refl.distinct():
-            continue
-        done_neg += 1
-        if eval_condition("R_T", refl.sextuple()).is_zero:
-            neg_bad += 1
-    cert.tier2 = {
-        "cyclic_ACBD_to_reflected_RT_zero": {"samples": done_fwd,
-                                             "violations": fwd_bad},
-        "kite_to_reflected_PTQT_zero": {"samples": done_rev,
-                                        "violations": rev_bad},
-        "PTQT_nonzero_keeps_reflected_RT_nonzero": {"samples": done_neg,
-                                                    "violations": neg_bad},
-    }
-    cert.status = _status(None, False, done_fwd + done_rev + done_neg,
-                          fwd_bad + rev_bad + neg_bad)
-    cert.elapsed_ms = _ms(t0)
-    return cert
+        "vanishes before", tier2)
 
 
 # ---------------------------------------------------------------------------
@@ -837,67 +828,69 @@ def _row_verdict(signs: tuple[int, int, int, int]) -> tuple[str | None, bool]:
     return h1.kind, _hulls_agree(h1, _oracle_of_signs(signs))
 
 
-def cert_hull_tables(seed: int = 0, samples: int = 100000) -> Certificate:
+def cert_hull_tables(seed: int = 0, samples: int = 100000,
+                     timeout: float | None = None) -> Certificate:
     """Empirical validation of the sign tables against the orientation-based
     hull oracle, including the never-realizable sign rows; both read the
-    four orientation signs of each integer sample."""
-    t0 = time.monotonic()
-    cert = Certificate(
+    four orientation signs of each integer sample.  Sampling only, so
+    `timeout` is ignored."""
+    def tier2():
+        rng = random.Random(seed)
+        mismatches = 0
+        unrealizable_seen = 0
+        kinds = {"convex4": 0, "concave3": 0, "collinear3": 0,
+                 "collinear4": 0}
+        for i in range(samples):
+            if i % 500 == 499:  # exercises the collinear4 rows
+                ints = [c for p in
+                        gen_collinear_inorder(rng).int_points.values()
+                        for c in p]
+            else:
+                # small spans hit collinear triples
+                span = 8 if i % 3 == 0 else 40
+                _, ints = geometry._draw_quad(rng, span, 3 if i % 2 else 1)
+            ax, ay, bx, by, cx, cy, dx, dy = ints
+            crosses = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
+                       (bx - ax) * (dy - ay) - (by - ay) * (dx - ax),
+                       (cx - bx) * (dy - by) - (cy - by) * (dx - bx),
+                       (cx - ax) * (dy - ay) - (cy - ay) * (dx - ax))
+            kind, agree = _row_verdict(tuple((v > 0) - (v < 0)
+                                             for v in crosses))
+            if kind is None:
+                unrealizable_seen += 1
+                continue
+            mismatches += not agree
+            kinds[kind] += 1
+        return ({"samples": samples, "mismatches": mismatches,
+                 "unrealizable_patterns": unrealizable_seen,
+                 "kinds": kinds}, [])
+
+    return _certify(
         "hull_tables",
         "sign-table hull classification agrees with a direct orientation "
-        "oracle; the two impossible sign rows never occur")
-    rng = random.Random(seed)
-    mismatches = 0
-    unrealizable_seen = 0
-    kinds = {"convex4": 0, "concave3": 0, "collinear3": 0, "collinear4": 0}
-    for i in range(samples):
-        if i % 500 == 499:  # exercises the collinear4 rows
-            ints = [c for p in gen_collinear_inorder(rng).int_points.values()
-                    for c in p]
-        else:
-            span = 8 if i % 3 == 0 else 40  # small spans hit collinear triples
-            _, ints = geometry._draw_quad(rng, span, 3 if i % 2 else 1)
-        ax, ay, bx, by, cx, cy, dx, dy = ints
-        crosses = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
-                   (bx - ax) * (dy - ay) - (by - ay) * (dx - ax),
-                   (cx - bx) * (dy - by) - (cy - by) * (dx - bx),
-                   (cx - ax) * (dy - ay) - (cy - ay) * (dx - ax))
-        kind, agree = _row_verdict(tuple((v > 0) - (v < 0) for v in crosses))
-        if kind is None:
-            unrealizable_seen += 1
-            continue
-        mismatches += not agree
-        kinds[kind] += 1
-    cert.tier2 = {"samples": samples, "mismatches": mismatches,
-                  "unrealizable_patterns": unrealizable_seen,
-                  "kinds": kinds, "elapsed_ms": _ms(t0)}
-    cert.status = _status(None, False, samples,
-                          mismatches + unrealizable_seen)
-    cert.elapsed_ms = _ms(t0)
-    return cert
+        "oracle; the two impossible sign rows never occur", tier2)
 
 
 # ---------------------------------------------------------------------------
 # registry / runner
 # ---------------------------------------------------------------------------
 
-def _make_elim(target: str):
-    # binds target now; calls through the global, which a tracer may wrap
-    return lambda **kw: cert_elimination_formula(target, **kw)
+def _bound(fn: str, first: str) -> Callable[..., Certificate]:
+    # binds the first argument now; looks the function up at call time, so a
+    # tracer that rebinds the module global still sees the call
+    return lambda **kw: globals()[fn](first, **kw)
 
 
 # each claim keeps its function's defaults; sampling-only ones ignore timeout
 CLAIMS: dict[str, Callable[..., Certificate]] = {
     "converse_ptolemy": cert_converse_ptolemy,
-    **{f"elim_{t}": _make_elim(t) for t in ELIM_TARGETS},
+    **{f"elim_{t}": _bound("cert_elimination_formula", t)
+       for t in ELIM_TARGETS},
     "parallelogram_case": cert_parallelogram_case,
-    "degenerate_R": lambda timeout=None, **kw:
-        cert_degenerate_cases("R", **kw),
-    "degenerate_RT": lambda timeout=None, **kw:
-        cert_degenerate_cases("R_T", **kw),
-    "reflection_theorem": lambda timeout=None, **kw:
-        cert_reflection_theorem(**kw),
-    "hull_tables": lambda timeout=None, **kw: cert_hull_tables(**kw),
+    "degenerate_R": _bound("cert_degenerate_cases", "R"),
+    "degenerate_RT": _bound("cert_degenerate_cases", "R_T"),
+    "reflection_theorem": cert_reflection_theorem,
+    "hull_tables": cert_hull_tables,
 }
 
 

@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"claim names (default: all). Known: {', '.join(CLAIMS)}")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
-                    help="budget per Groebner run, seconds "
-                         f"(default {DEFAULT_TIMEOUT:g})")
+                    help="tier-1 budget of each symbolic claim, seconds; 0 "
+                         f"skips tier 1 (default {DEFAULT_TIMEOUT:g})")
     pr.add_argument("--jobs", type=int, default=1,
                     help="run certificates in N parallel processes")
     pr.add_argument("--samples", type=int, default=None,

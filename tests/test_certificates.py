@@ -13,9 +13,9 @@ from quadkit.certificates import (CERTIFIED, CLAIMS, FAILED, INCONCLUSIVE,
                                   cert_elimination_formula, cert_hull_tables,
                                   cert_parallelogram_case,
                                   cert_reflection_theorem, elimination_tier2,
-                                  ELIM_TARGETS, _hulls_agree, oracle_hull,
-                                  ptolemy_scheme, r_scheme, run_certificates,
-                                  t_scheme)
+                                  ELIM_TARGETS, _hulls_agree, _status, _tally,
+                                  oracle_hull, ptolemy_scheme, r_scheme,
+                                  run_certificates, t_scheme)
 from quadkit.geometry import (HullClass, QuadConfig, classify_hull,
                               config_to_obj, hull_from_signs, random_quad,
                               unrealizable_patterns)
@@ -139,6 +139,27 @@ def test_elimination_tier2_batch_counts():
         assert stats[t]["samples"] == 30
         assert stats[t]["mismatches"] == 0
         assert stats[t]["sign_violations"] == 0
+
+
+def test_repeated_elimination_target_draws_its_samples(monkeypatch):
+    # a target named twice runs once, so the samples it reports are kites
+    # it drew, not one kite counted twice
+    calls = 0
+    kite = certificates.gen_tilted_kite
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kite(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "gen_tilted_kite", counting)
+    draws = []
+    for targets in (["M_T"], ["M_T", "M_T"]):
+        calls = 0
+        stats = elimination_tier2(targets, samples=10, seed=1)
+        assert list(stats) == ["M_T"] and stats["M_T"]["samples"] == 10
+        draws.append(calls)
+    assert draws[0] == draws[1] >= 10
 
 
 def test_elimination_unknown_target():
@@ -300,7 +321,9 @@ def test_hull_set_mismatch_fails_the_claim(monkeypatch):
     cert = cert_elimination_formula("N_R", seed=1, timeout=0, samples=10)
     assert cert.status == FAILED
     assert "MISMATCH" in cert.notes[0]
-    # the sampled hulls still fit the sets the sign tables allow
+    # the record shows what failed the claim, while the sampled hulls still
+    # fit the sets the sign tables allow
+    assert cert.tier2["hull_set_mismatches"] == 1
     assert cert.tier2["hull_violations"] == 0
 
 
@@ -400,6 +423,21 @@ def test_no_samples_supports_nothing():
         parts = (cert.tier2.values() if cert.claim == "reflection_theorem"
                  else [cert.tier2])
         assert all(p["samples"] == 0 for p in parts), (cert.claim, cert.tier2)
+
+
+def test_status_is_read_from_the_record():
+    # every claim's status follows from its tier-1 verdict and the counts
+    # its tier-2 record shows, so no violation fails a claim unseen
+    verdicts = ("unit_basis", "relation_on_variety", "radical_member")
+    certs = run_certificates(seed=3, samples=5)
+    assert len(certs) == len(CLAIMS) == 16
+    for cert in certs:
+        tier1 = cert.tier1 or {}
+        verdict = next((tier1[k] for k in verdicts if k in tier1), None)
+        assert cert.status == _status(verdict, cert.tier1 is not None,
+                                      *_tally(cert.tier2)), cert.claim
+        assert _tally(cert.tier2)[0] > 0, cert.claim
+        assert cert.status in (CERTIFIED, SUPPORTED), cert.claim
 
 
 def test_all_claims_registered():

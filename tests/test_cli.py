@@ -289,6 +289,29 @@ def test_prove_tier1_respects_timeout(capsys):
     assert spent < 500, tier1
 
 
+def _drop_ms(obj):
+    if isinstance(obj, dict):
+        return {k: _drop_ms(v) for k, v in obj.items() if not k.endswith("_ms")}
+    if isinstance(obj, list):
+        return [_drop_ms(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("flags, digest", [
+    (["--samples", "10"],
+     "240b5d0f94d23f3f76853e66d3d067d4d91e709fd42113cdf5bdc50b96b636cf"),
+    (["--samples", "5", "--timeout", "0"],
+     "8e9487a6b5d47dc557c2cf10bd708f53624e5b7c5394926b0ebab5e9a906349f"),
+])
+def test_prove_records_pinned(capsys, flags, digest):
+    # all 16 records with their timings dropped: statuses, tier-1 verdicts,
+    # ideals and every tier-2 count
+    assert main(["prove", "--format", "json", *flags]) == 0
+    records = _drop_ms(json.loads(capsys.readouterr().out))
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest, flags
+
+
 def _pinned_inputs():
     rng = random.Random(8)
     items = []

@@ -347,7 +347,8 @@ def test_pair_selection_reduction_counts(monkeypatch):
         assert count(lambda: elimination_ideal(
             gens, ("u", "v", "w", "z"))) < normal, builder
     assert count(lambda: certificates.cert_converse_ptolemy(samples=0)) <= 291
-    assert count(lambda: certificates._tier1_elimination("N_R", 30)) <= 195
+    assert count(lambda: certificates.cert_elimination_formula(
+        "N_R", timeout=30, samples=0)) <= 195
 
 
 def test_reduced_bases_match_sympy():
