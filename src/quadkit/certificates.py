@@ -472,13 +472,10 @@ def cert_elimination_formula(target: str, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _parallelogram(rng: random.Random) -> QuadConfig:
+    draw = geometry._rand_fraction
     while True:
-        A = Point(Fraction(rng.randint(-8, 8), rng.randint(1, 4)),
-                  Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
-        ux, uy = (Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
-                  Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
-        vx, vy = (Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
-                  Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+        A = Point(draw(rng, -8, 8, 4), draw(rng, -8, 8, 4))
+        ux, uy, vx, vy = (draw(rng, -9, 9, 3) for _ in range(4))
         B = Point(A.x + ux, A.y + uy)
         C = Point(B.x + vx, B.y + vy)
         D = Point(A.x + vx, A.y + vy)
@@ -500,9 +497,8 @@ def _rhombus(rng: random.Random) -> QuadConfig:
 
 def _symmetric_kite(rng: random.Random) -> QuadConfig:
     while True:
-        half = Fraction(rng.randint(1, 8), rng.randint(1, 3))
-        h = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-        k = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+        half = geometry._rand_fraction(rng, 1, 8, 3)
+        h, k = _apex(rng)
         if h == k:
             continue  # that would be a rhombus
         A = Point(Fraction(0), Fraction(0))
@@ -566,7 +562,7 @@ def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
 
 def _frac_outside(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     """A random rational strictly outside [lo, hi]."""
-    off = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+    off = geometry._rand_fraction(rng, 1, 12, 4)
     return lo - off if rng.random() < 0.5 else hi + off
 
 
@@ -576,8 +572,8 @@ def _frac_inside(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _apex(rng: random.Random) -> tuple[Fraction, Fraction]:
-    return (Fraction(rng.randint(1, 9), rng.randint(1, 3)),
-            Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+    return (geometry._rand_fraction(rng, 1, 9, 3),
+            geometry._rand_fraction(rng, 1, 9, 3))
 
 
 @lru_cache(maxsize=1)
@@ -714,51 +710,39 @@ def cert_reflection_theorem(seed: int = 0, samples: int = 500,
     `timeout` is ignored."""
     def tier2():
         rng = random.Random(seed)
-        fwd_bad = rev_bad = neg_bad = 0
-        done_fwd = done_rev = done_neg = 0
-        while done_fwd < samples:
-            cfg = gen_cyclic(rng, "ACBD")
+
+        def part(draw, holds):
+            # reflect C over BD, drawing again when the image meets B or D
+            done = bad = 0
+            while done < samples:
+                cfg = draw()
+                refl = reflect_over_line(cfg, "C", ("B", "D"))
+                if refl.distinct():
+                    done += 1
+                    bad += not holds(cfg, refl)
+            return {"samples": done, "violations": bad}
+
+        def zero(name, cfg):
+            return eval_condition(name, cfg.sextuple()).is_zero
+
+        def ptqt(cfg):
             d6 = cfg.sextuple()
-            refl = reflect_over_line(cfg, "C", ("B", "D"))
-            if not refl.distinct():
-                continue
-            done_fwd += 1
-            if not eval_condition("Q_T", d6).is_zero:
-                fwd_bad += 1
-            elif not eval_condition("R_T", refl.sextuple()).is_zero:
-                fwd_bad += 1
-        while done_rev < samples:
-            cfg = _ray_kite(rng, convex=bool(rng.random() < 0.5))
-            refl = reflect_over_line(cfg, "C", ("B", "D"))
-            if not refl.distinct():
-                continue
-            done_rev += 1
-            if not eval_condition("R_T", cfg.sextuple()).is_zero:
-                rev_bad += 1
-                continue
-            dr = refl.sextuple()
-            pt = eval_condition("P_T", dr)
-            qt = eval_condition("Q_T", dr)
-            if not (pt * qt).is_zero:
-                rev_bad += 1
-        while done_neg < samples:
-            cfg = random_quad(rng)
-            d6 = cfg.sextuple()
-            pq = eval_condition("P_T", d6) * eval_condition("Q_T", d6)
-            if pq.is_zero:
-                continue
-            refl = reflect_over_line(cfg, "C", ("B", "D"))
-            if not refl.distinct():
-                continue
-            done_neg += 1
-            if eval_condition("R_T", refl.sextuple()).is_zero:
-                neg_bad += 1
+            return eval_condition("P_T", d6) * eval_condition("Q_T", d6)
+
+        def off_ptqt():
+            while True:
+                cfg = random_quad(rng)
+                if not ptqt(cfg).is_zero:
+                    return cfg
+
         return ({"cyclic_ACBD_to_reflected_RT_zero":
-                 {"samples": done_fwd, "violations": fwd_bad},
+                 part(lambda: gen_cyclic(rng, "ACBD"),
+                      lambda c, r: zero("Q_T", c) and zero("R_T", r)),
                  "kite_to_reflected_PTQT_zero":
-                 {"samples": done_rev, "violations": rev_bad},
+                 part(lambda: _ray_kite(rng, convex=bool(rng.random() < 0.5)),
+                      lambda c, r: zero("R_T", c) and ptqt(r).is_zero),
                  "PTQT_nonzero_keeps_reflected_RT_nonzero":
-                 {"samples": done_neg, "violations": neg_bad}}, [])
+                 part(off_ptqt, lambda c, r: not zero("R_T", r))}, [])
 
     return _certify(
         "reflection_theorem",
@@ -896,10 +880,8 @@ CLAIMS: dict[str, Callable[..., Certificate]] = {
 
 def _run_claim(args: tuple) -> Certificate:
     name, seed, timeout, samples = args
-    fn = CLAIMS[name]
-    if samples is None:
-        return fn(seed=seed, timeout=timeout)
-    return fn(seed=seed, timeout=timeout, samples=samples)
+    kw = {} if samples is None else {"samples": samples}
+    return CLAIMS[name](seed=seed, timeout=timeout, **kw)
 
 
 def run_certificates(claims: Sequence[str] | None = None, seed: int = 0,

@@ -19,10 +19,10 @@ from functools import cache
 from . import conditions
 from .certificates import CLAIMS, DEFAULT_TIMEOUT, FAILED, run_certificates
 from .conditions import CONDITION_NAMES, eval_condition
-from .geometry import (SQ_DIST_NAMES, GeometryError, classify_hull,
-                       config_from_obj, config_svg, config_to_obj, gen_cyclic,
-                       gen_folded, gen_reflected, gen_tilted_kite,
-                       sextuple_from_obj, sextuple_to_obj)
+from .geometry import (SQ_DIST_NAMES, classify_hull, config_from_obj,
+                       config_svg, config_to_obj, gen_cyclic, gen_folded,
+                       gen_reflected, gen_tilted_kite, sextuple_from_obj,
+                       sextuple_to_obj)
 
 
 class CliError(Exception):
@@ -77,7 +77,9 @@ def _verdicts(rows: list[dict]) -> list[str]:
     if sign["P"] == 0:
         out.append("cyclic (concyclic or collinear), convex")
     if sign["R"] == 0 and sign["P"] > 0:
-        out.append("supplementary angles CDA + CBA = pi, non-cyclic")
+        # four concyclic points make P, P_T or Q_T vanish (Ptolemy)
+        out.append("supplementary angles CDA + CBA = pi"
+                   + (", non-cyclic" if sign["P_T"] and sign["Q_T"] else ""))
     if sign["R_T"] == 0:
         out.append("tilted kite (equal angles BAD and BCD)")
     if sign["Q_T"] == 0 and sign["P"] != 0:
@@ -147,11 +149,6 @@ def cmd_prove(args) -> int:
     claims = args.claims
     if not claims or claims == ["all"]:
         claims = None
-    else:
-        unknown = [c for c in claims if c not in CLAIMS]
-        if unknown:
-            raise CliError(f"unknown claim(s): {', '.join(unknown)}; "
-                           f"known: {', '.join(CLAIMS)}")
     certs = run_certificates(claims, seed=args.seed, timeout=args.timeout,
                              jobs=args.jobs, samples=args.samples)
     if args.format == "json":
@@ -265,7 +262,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (CliError, GeometryError, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,10 +55,6 @@ class Point:
     x: Fraction
     y: Fraction
 
-    @classmethod
-    def of(cls, x, y) -> "Point":
-        return cls(_frac(x), _frac(y))
-
     def __iter__(self):
         return iter((self.x, self.y))
 
@@ -119,7 +115,7 @@ class QuadConfig:
 
     @classmethod
     def of(cls, A, B, C, D) -> "QuadConfig":
-        return cls(Point.of(*A), Point.of(*B), Point.of(*C), Point.of(*D))
+        return cls(*(Point(_frac(x), _frac(y)) for x, y in (A, B, C, D)))
 
     def points(self) -> tuple[Point, Point, Point, Point]:
         return (self.A, self.B, self.C, self.D)

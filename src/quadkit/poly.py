@@ -288,18 +288,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = -c
-            else:
-                s = s - c
-                if s:
-                    res[m] = s
-                else:
-                    del res[m]
-        return Polynomial(self.vars, res, _clean=False)
+        return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self).__add__(other)

@@ -11,7 +11,7 @@ nonzero values are decided by adaptive-precision integer intervals.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm, prod
 _SIGN_PREC_START = 64
 _SIGN_PREC_CAP = 65536
@@ -174,6 +174,7 @@ def squarefree_decompose(*factors: int) -> tuple[int, int]:
 # the field elements
 # ---------------------------------------------------------------------------
 
+@total_ordering
 class RadicalValue:
     """An exact element of a square-root tower over Q.
 
@@ -421,24 +422,6 @@ class RadicalValue:
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     def __float__(self) -> float:
         lo, hi = self.interval(128)
