@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import signal
 from itertools import product
 
 import pytest
@@ -16,9 +17,11 @@ from quadkit.certificates import (CERTIFIED, CLAIMS, FAILED, INCONCLUSIVE,
                                   ELIM_TARGETS, _hulls_agree, _status, _tally,
                                   oracle_hull, ptolemy_scheme, r_scheme,
                                   run_certificates, t_scheme)
+from quadkit.conditions import condition_poly
 from quadkit.geometry import (HullClass, QuadConfig, classify_hull,
                               config_to_obj, hull_from_signs, random_quad,
                               unrealizable_patterns)
+from quadkit.poly import GREVLEX, Polynomial
 from quadkit.radicals import RadicalValue
 
 
@@ -86,6 +89,67 @@ def test_converse_ptolemy_tier2_only_on_tiny_budget():
     cert = cert_converse_ptolemy(seed=5, timeout=0.001, samples=30)
     assert cert.status == TIER2_ONLY
     assert cert.tier1["completed"] is False
+
+
+def test_tier1_runs_with_y_above_x_and_records_the_scheme_order(
+        monkeypatch):
+    # tier 1 hands radical_membership the scheme's polynomials lifted onto
+    # _TIER1_VARS, while the record's ideal texts keep the scheme's order;
+    # the verdict is the same in both orders
+    seen = []
+    real = certificates.radical_membership
+
+    def capture(f, gens, timeout=None):
+        seen.append((f, gens))
+        return real(f, gens, timeout=timeout)
+
+    monkeypatch.setattr(certificates, "radical_membership", capture)
+    scheme_vars = certificates._SCHEME_VARS
+    tier1_vars = certificates._TIER1_VARS
+    assert tier1_vars.names == tuple("abcdefvzuw")
+    for run in (cert_converse_ptolemy, cert_parallelogram_case):
+        cert = run(seed=1, timeout=60, samples=0)
+        (f, gens), = seen
+        seen.clear()
+        assert cert.status == CERTIFIED and cert.order == "grevlex"
+        assert f.vars == tier1_vars
+        assert all(g.vars == tier1_vars for g in gens)
+        on_scheme = [g.on_vars(scheme_vars) for g in gens]
+        assert cert.ideal == [g.to_text(GREVLEX) for g in on_scheme]
+        assert cert.ideal != [g.to_text(GREVLEX) for g in gens]
+        assert real(f, gens, timeout=60) is True
+        assert real(f.on_vars(scheme_vars), on_scheme, timeout=60) is True
+
+
+@pytest.mark.parametrize("mutant", ["quartic_without_P", "quartic_plus_a"])
+def test_false_tier1_fails_the_claim(mutant):
+    # a tier 1 that finishes False fails the claim, even with clean samples:
+    # the cocircle quartic is not in the radical of the bare scheme
+    # generators, and quartic + a is not in the radical of the P = 0 ideal
+    scheme = ptolemy_scheme()
+    quartic = scheme.cocircle()
+    f, gens = {
+        "quartic_without_P": (quartic, scheme.ideal()),
+        "quartic_plus_a": (quartic + Polynomial.variable(scheme.vars, "a"),
+                           scheme.ideal(condition_poly("P"))),
+    }[mutant]
+
+    def expire(signum, frame):
+        raise AssertionError("tier 1 ran past 5 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        cert = certificates._certify(
+            mutant, "mutated tier 1",
+            lambda: ({"samples": 1, "violations": 0}, []), 30,
+            ("unit_basis", f, gens))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert cert.status == FAILED
+    assert cert.tier1["completed"] is True
+    assert cert.tier1["unit_basis"] is False
+    assert cert.reduced_basis is None
 
 
 def test_elimination_certificates_radical_route():
