@@ -14,8 +14,7 @@ from .geometry import (DistSextuple, HullClass, Point, QuadConfig,
                        gen_tilted_kite, midpoint_distances, random_quad,
                        reflect_over_line, signed_areas)
 from .conditions import (CONDITION_NAMES, IDENTITY_NAMES, condition_poly,
-                         condition_sign, equal_angle_witness, eval_condition,
-                         midpoint_v_formulas, supplementary_witness,
+                         condition_sign, eval_condition, midpoint_v_formulas,
                          verify_all_identities, verify_identity)
 from .certificates import (CLAIMS, Certificate, run_certificates)
 

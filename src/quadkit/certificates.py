@@ -26,11 +26,10 @@ from . import geometry
 from .conditions import (DIST_VARS, condition_poly, eval_condition,
                          eval_poly_on_sextuple)
 from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, Point, QuadConfig,
-                       classify_hull, cocircularity, equal_angle_witness,
-                       gen_collinear_inorder, gen_cyclic, gen_folded,
-                       gen_tilted_kite, hull_from_signs, hull_table,
-                       random_quad, reflect_over_line, same_cycle,
-                       signed_areas, supplementary_witness)
+                       classify_hull, cocircularity, gen_collinear_inorder,
+                       gen_cyclic, gen_folded, gen_tilted_kite,
+                       hull_from_signs, hull_table, random_quad,
+                       reflect_over_line, same_cycle, signed_areas)
 from .groebner import GroebnerTimeout, radical_membership
 from .poly import GREVLEX, Polynomial, VarSet, det
 
@@ -532,7 +531,7 @@ def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
             if d6.qa * d6.qd != d6.qb * d6.qc:
                 branch_bad += 1
                 continue
-            if not geometry.rt_condition_is_zero(d6):
+            if not eval_condition("R_T", d6).is_zero:
                 rt_bad += 1
             first = d6.qa == d6.qc and d6.qb == d6.qd
             second = d6.qa == d6.qb and d6.qc == d6.qd
@@ -582,34 +581,33 @@ def _apex(rng: random.Random) -> tuple[Fraction, Fraction]:
 
 @lru_cache(maxsize=1)
 def _degenerate_families() -> dict[str, tuple]:
-    """Per family: the exact condition test; the squared diagonal laid on
-    the axis from the origin to (2h, 0); the draw of the free axis point and
+    """Per family: its condition's name; the squared diagonal laid on the
+    axis from the origin to (2h, 0); the draw of the free axis point and
     whether it comes before the case; and one row per case, in the order the
     draw picks them: its name; A, B, C, D from the half axis h, the apex
     height k and the free point x; exactly the flat triangles; two sides of
-    equal length; the angle witness; a further polynomial that vanishes;
+    equal length; one further polynomial that vanishes (the family's angle
+    condition K or K_T when an apex is off the axis, else Heron or Gamma);
     whether the case draws its own apex and free point."""
     return {
         # D at the origin, B = (2h, 0), the free point outside BD
-        "R": (geometry.r_condition_is_zero, "qf", _frac_outside, True, (
+        "R": ("R", "qf", _frac_outside, True, (
             ("all_collinear",
              lambda h, k, x: ((x, 0), (2 * h, 0), (h, 0), (0, 0)),
-             TRIANGLES, ("qb", "qc"), None, _heron_poly(), False),
+             TRIANGLES, ("qb", "qc"), _heron_poly(), False),
             ("case2", lambda h, k, x: ((x, 0), (2 * h, 0), (h, k), (0, 0)),
-             ("ABD",), ("qb", "qc"), supplementary_witness,
-             condition_poly("K"), False),
+             ("ABD",), ("qb", "qc"), condition_poly("K"), False),
             ("case3", lambda h, k, x: ((h, k), (2 * h, 0), (x, 0), (0, 0)),
-             ("BCD",), ("qa", "qd"), supplementary_witness, None, True))),
+             ("BCD",), ("qa", "qd"), condition_poly("K"), True))),
         # A at the origin, C = (2h, 0), the free point inside AC
-        "R_T": (geometry.rt_condition_is_zero, "qe", _frac_inside, False, (
+        "R_T": ("R_T", "qe", _frac_inside, False, (
             ("all_collinear",
              lambda h, k, x: ((0, 0), (x, 0), (2 * h, 0), (h, 0)),
-             TRIANGLES, ("qc", "qd"), None, _gamma_poly(), False),
+             TRIANGLES, ("qc", "qd"), _gamma_poly(), False),
             ("case2", lambda h, k, x: ((0, 0), (x, 0), (2 * h, 0), (h, k)),
-             ("ABC",), ("qc", "qd"), equal_angle_witness,
-             condition_poly("K_T"), False),
+             ("ABC",), ("qc", "qd"), condition_poly("K_T"), False),
             ("case3", lambda h, k, x: ((0, 0), (h, k), (2 * h, 0), (x, 0)),
-             ("ACD",), ("qa", "qb"), equal_angle_witness, None, True))),
+             ("ACD",), ("qa", "qb"), condition_poly("K_T"), True))),
     }
 
 
@@ -620,7 +618,7 @@ def cert_degenerate_cases(family: str, seed: int = 0, samples: int = 200,
     relations exactly.  Sampling only, so `timeout` is ignored."""
     if family not in ("R", "R_T"):
         raise ValueError("family must be 'R' or 'R_T'")
-    is_zero, axis, free_point, free_first, cases = \
+    condition, axis, free_point, free_first, cases = \
         _degenerate_families()[family]
 
     def tier2():
@@ -631,8 +629,7 @@ def cert_degenerate_cases(family: str, seed: int = 0, samples: int = 200,
             h, k = _apex(rng)
             if free_first:
                 x = free_point(rng, Fraction(0), 2 * h)
-            (name, place, flat, (s1, s2), witness, zero,
-             redraw) = rng.choice(cases)
+            name, place, flat, (s1, s2), zero, redraw = rng.choice(cases)
             if redraw:
                 h, k = _apex(rng)
             if redraw or not free_first:
@@ -644,12 +641,10 @@ def cert_degenerate_cases(family: str, seed: int = 0, samples: int = 200,
             areas = signed_areas(cfg).as_tuple()
             ok = ({t for t, ar in zip(TRIANGLES, areas) if ar == 0}
                   == set(flat)
-                  and is_zero(d6)
+                  and eval_condition(condition, d6).is_zero
                   and getattr(d6, axis) == 4 * h * h
                   and getattr(d6, s1) == getattr(d6, s2)
-                  and (witness is None or witness(d6))
-                  and (zero is None
-                       or eval_poly_on_sextuple(zero, d6).is_zero))
+                  and eval_poly_on_sextuple(zero, d6).is_zero)
             checks[name] += 1
             bad += not ok
         return ({"samples": sum(checks.values()), "by_case": checks,
@@ -673,8 +668,8 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
     a ray pair with one rational opening angle; B and D are where the lines
     meet.  A draw counts when B and D lie on the same side of A along A's
     lines, and of C along C's: reversing both rays at a vertex keeps the angle
-    between them.  The exact equal-angle and R_T filters then reject the
-    cyclic draws.  Directions are integer triples (x, y, w) for (x/w, y/w),
+    between them.  Exact zero tests then check K_T and reject the cyclic
+    draws by R_T.  Directions are integer triples (x, y, w) for (x/w, y/w),
     w > 0, so a draw builds no Fraction until it passes the side tests."""
     want = "convex4" if convex else "concave3"
     randint = rng.randint
@@ -703,7 +698,8 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
         if not cfg.distinct() or classify_hull(cfg).kind != want:
             continue
         d = cfg.sextuple()
-        if equal_angle_witness(d) and geometry.rt_condition_is_zero(d):
+        if (eval_condition("K_T", d).is_zero
+                and eval_condition("R_T", d).is_zero):
             return cfg
 
 

@@ -5,6 +5,8 @@ scaled squared distance on its own and never a product of them.
 Angle conventions (fixed once, to avoid vertex-order confusion): the
 supplementary-angle family R compares alpha = angle CDA with beta = angle CBA;
 the equal-angle family R_T compares alpha = angle BAD with beta = angle BCD.
+Each fact has one zero test, `eval_condition(name, d).is_zero`: the angles are
+supplementary iff K = 0 and equal iff K_T = 0 (for positive distances).
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-# the radical-free witnesses of K = 0 and K_T = 0 are re-exported from here
-from .geometry import (DistSextuple, cayley_menger, equal_angle_witness,
-                       supplementary_witness)
+from .geometry import DistSextuple, cayley_menger
 from .poly import Polynomial, VarSet, det
 from .radicals import (RadicalValue, rad_sqrt, sqrt_rational,
                        squarefree_decompose)

@@ -8,7 +8,10 @@ across a diagonal where the family asks for it (a folded quadrilateral folds
 D over AC; a tilted kite reflects C of a cyclic ACBD or ACDB configuration
 over BD).  Generators only ever emit rational points, so downstream tests
 are exact; orientations, areas, distances, reflections and point equality
-are computed on integer points (`QuadConfig.int_points`).
+are computed on integer points (`QuadConfig.int_points`).  A generator that
+checks its family's condition asks the condition table through
+`conditions.eval_condition`, imported where it is used since `conditions`
+imports this module; no condition is encoded here a second time.
 """
 
 from __future__ import annotations
@@ -328,55 +331,6 @@ def reflect_over_line(cfg: QuadConfig, vertex: str,
 
 
 # ---------------------------------------------------------------------------
-# radical-free exact zero tests and angle witnesses
-# ---------------------------------------------------------------------------
-
-def _root_form_is_zero(d: DistSextuple, r0: Fraction, sign: int) -> bool:
-    """r0 + sign * 2*sqrt(qa*qb*qc*qd) == 0, decided in rationals: zero iff
-    sign * r0 <= 0 and r0^2 == 4*qa*qb*qc*qd."""
-    return sign * r0 <= 0 and r0 * r0 == 4 * d.qa * d.qb * d.qc * d.qd
-
-
-def r_condition_is_zero(d: DistSextuple) -> bool:
-    """(bc+ad)^2 == qe*(sum q - qe - qf), decided in rationals: R is
-    r0 + 2*sqrt(qa*qb*qc*qd)."""
-    qa, qb, qc, qd, qe, qf = d.as_tuple()
-    return _root_form_is_zero(
-        d, qb * qc + qa * qd - qe * (qa + qb + qc + qd - qe - qf), 1)
-
-
-def rt_condition_is_zero(d: DistSextuple) -> bool:
-    """(ab-cd)^2 == qf*(sum q - qe - qf), decided in rationals: R_T is
-    r0 - 2*sqrt(qa*qb*qc*qd)."""
-    qa, qb, qc, qd, qe, qf = d.as_tuple()
-    return _root_form_is_zero(
-        d, qa * qb + qc * qd - qf * (qa + qb + qc + qd - qe - qf), -1)
-
-
-def _cosine_law_test(x: Fraction, wx: Fraction, y: Fraction, wy: Fraction,
-                     sign: int) -> bool:
-    """x*sqrt(wx) == sign * y*sqrt(wy) for positive wx, wy, decided without
-    radicals: equal squares, and x and sign*y both zero or of one sign."""
-    return wx * x * x == wy * y * y and (x > 0) == (sign * y > 0)
-
-
-def supplementary_witness(d: DistSextuple) -> bool:
-    """cos(CDA) = -cos(CDA's partner CBA), encoded without radicals:
-    qa*qb*(qe-qc-qd)^2 == qc*qd*(qe-qa-qb)^2 with opposite (or both zero)
-    signs of the bracketed factors.  Equivalent to K = 0 for positive
-    distances."""
-    return _cosine_law_test(d.qe - d.qc - d.qd, d.qa * d.qb,
-                            d.qe - d.qa - d.qb, d.qc * d.qd, -1)
-
-
-def equal_angle_witness(d: DistSextuple) -> bool:
-    """cos(BAD) = cos(BCD) without radicals: qb*qc*(qf-qa-qd)^2 ==
-    qa*qd*(qf-qb-qc)^2 with matching signs.  Equivalent to K_T = 0."""
-    return _cosine_law_test(d.qf - d.qa - d.qd, d.qb * d.qc,
-                            d.qf - d.qb - d.qc, d.qa * d.qd, 1)
-
-
-# ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
@@ -435,13 +389,14 @@ def gen_collinear_inorder(seed_or_rng) -> QuadConfig:
 def gen_folded(seed_or_rng) -> QuadConfig:
     """Cyclic quadrilateral ABCD folded about the diagonal AC (D reflected),
     the standard family with R = 0, K = 0 and P > 0."""
+    from .conditions import eval_condition  # conditions imports geometry
     rng = _rng(seed_or_rng)
     while True:
         cfg = gen_cyclic(rng, "ABCD")
         folded = reflect_over_line(cfg, "D", ("A", "C"))
         if (folded.distinct()
                 and not classify_hull(folded).kind.startswith("collinear")
-                and r_condition_is_zero(folded.sextuple())):
+                and eval_condition("R", folded.sextuple()).is_zero):
             return folded
 
 
@@ -452,8 +407,9 @@ def _reflected_cyclic(rng: random.Random, order: str) -> QuadConfig:
     equal and C's mirror image lands on A's far side of BD (so the four points
     stay distinct); by the reflection theorem the result satisfies the
     tilted-kite condition R_T = 0 exactly."""
+    from .conditions import eval_condition  # conditions imports geometry
     refl = reflect_over_line(gen_cyclic(rng, order), "C", ("B", "D"))
-    if not rt_condition_is_zero(refl.sextuple()):
+    if not eval_condition("R_T", refl.sextuple()).is_zero:
         raise GeometryError(f"reflected cyclic {order} configuration has "
                             "R_T != 0")
     return refl

@@ -11,8 +11,7 @@ from quadkit.certificates import (CERTIFIED, ELIM_TARGETS, TIER2_ONLY,
                                   cert_converse_ptolemy, cert_hull_tables,
                                   elimination_tier2)
 from quadkit.conditions import (IDENTITY_NAMES, eval_condition,
-                                equal_angle_witness, midpoint_v_formulas,
-                                supplementary_witness, verify_identity)
+                                midpoint_v_formulas, verify_identity)
 from quadkit.geometry import (DistSextuple, QuadConfig, gen_cyclic,
                               gen_folded, gen_tilted_kite, midpoint_distances,
                               random_quad, reflect_over_line)
@@ -76,7 +75,6 @@ def test_criterion_4_folded_rectangle_worked_instance():
         assert d == DistSextuple(16, 9, 16, 9, 25, Fraction(49, 25))
         assert eval_condition("R", d).is_zero
         assert eval_condition("K", d).is_zero
-        assert supplementary_witness(d)
         assert eval_condition("P", d) == RadicalValue.from_rational(18)
         assert eval_condition("P", d).sign() == 1
         v1, v2 = midpoint_v_formulas(d)
@@ -108,17 +106,17 @@ def test_criterion_5_theorem_property_suites():
                    and eval_condition("S", d).is_zero)
             assert p0 == ks0
 
-        # (c) R = 0 implies the supplementary-angle witness
+        # (c) R = 0 implies supplementary angles, K = 0
         for _ in range(n):
             d = gen_folded(rng).sextuple()
             assert eval_condition("R", d).is_zero
-            assert supplementary_witness(d)
+            assert eval_condition("K", d).is_zero
 
-        # (d) R_T = 0 implies the equal-angle witness
+        # (d) R_T = 0 implies equal angles, K_T = 0
         for i in range(n):
             d = gen_tilted_kite(rng, convex=bool(i % 2)).sextuple()
             assert eval_condition("R_T", d).is_zero
-            assert equal_angle_witness(d)
+            assert eval_condition("K_T", d).is_zero
 
         # (e) reflection biconditional: R_T after reflecting C over BD
         #     vanishes exactly when P_T*Q_T vanishes before

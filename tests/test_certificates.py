@@ -252,6 +252,22 @@ def test_degenerate_cases_both_families():
         cert_degenerate_cases("X")
 
 
+def test_degenerate_check_fails_on_the_wrong_angle_condition(monkeypatch):
+    # case2 of each family with the other family's angle condition: K_T does
+    # not vanish on the R family's case2 (it is -f^2*a*d there), nor K on the
+    # R_T family's (e^2*a*b), so every case2 draw is a violation
+    families = certificates._degenerate_families()
+    for family, wrong in (("R", "K_T"), ("R_T", "K")):
+        condition, axis, free_point, free_first, cases = families[family]
+        cases = tuple(row[:4] + (condition_poly(wrong),) + row[5:]
+                      if row[0] == "case2" else row for row in cases)
+        monkeypatch.setattr(certificates, "_degenerate_families", lambda: {
+            family: (condition, axis, free_point, free_first, cases)})
+        cert = cert_degenerate_cases(family, seed=4, samples=120)
+        assert cert.status == FAILED
+        assert cert.tier2["violations"] == cert.tier2["by_case"]["case2"] > 0
+
+
 def test_degenerate_records_pinned():
     # the seeded draws of both families, case by case
     pinned = {("R", 0, 200): (200, (79, 65, 56)),

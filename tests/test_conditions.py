@@ -11,10 +11,9 @@ from quadkit import conditions, radicals
 from quadkit.certificates import _elim_targets
 from quadkit.conditions import (CONDITION_NAMES, DIST_VARS,
                                 condition_poly, condition_sign,
-                                equal_angle_witness, eval_condition,
-                                eval_poly_on_sextuple, identity_poly,
-                                midpoint_v_formulas, run_self_check,
-                                supplementary_witness, verify_all_identities,
+                                eval_condition, eval_poly_on_sextuple,
+                                identity_poly, midpoint_v_formulas,
+                                run_self_check, verify_all_identities,
                                 verify_identity)
 from quadkit.geometry import (DistSextuple, QuadConfig, gen_cyclic,
                               gen_folded, gen_tilted_kite, random_quad,
@@ -96,42 +95,37 @@ def test_condition_sign_trichotomy_on_cyclic():
 
 
 def test_supplementary_witness():
-    assert supplementary_witness(FOLDED_RECT)
-    assert supplementary_witness(QuadConfig.of((0, 0), (1, 0), (1, 1),
-                                               (0, 1)).sextuple())
+    assert eval_condition("K", FOLDED_RECT).is_zero
+    assert eval_condition("K", QuadConfig.of((0, 0), (1, 0), (1, 1),
+                                             (0, 1)).sextuple()).is_zero
     rng = random.Random(3)
     hits = 0
     for _ in range(50):
         d = random_quad(rng).sextuple()
-        if supplementary_witness(d):
+        if eval_condition("K", d).is_zero:
             hits += 1
-    assert hits == 0  # generic quadrilaterals fail the witness
+    assert hits == 0  # generic quadrilaterals have K != 0
 
 
 def test_equal_angle_witness():
     kite = QuadConfig.of((0, 0), (1, 1), (2, 0), (1, -3)).sextuple()
-    assert equal_angle_witness(kite)
+    assert eval_condition("K_T", kite).is_zero
     par = DistSextuple(4, 1, 4, 1, 6, 4)
-    assert equal_angle_witness(par)
+    assert eval_condition("K_T", par).is_zero
     rng = random.Random(4)
     hits = 0
     for _ in range(50):
-        if equal_angle_witness(random_quad(rng).sextuple()):
+        if eval_condition("K_T", random_quad(rng).sextuple()).is_zero:
             hits += 1
     assert hits == 0
 
 
 def test_witnesses_match_symbolic_zero_tests():
-    rng = random.Random(19)
-    for _ in range(40):
-        d = random_quad(rng).sextuple()
-        assert supplementary_witness(d) == eval_condition("K", d).is_zero
-        assert equal_angle_witness(d) == eval_condition("K_T", d).is_zero
     for seed in range(10):
         d = gen_folded(seed).sextuple()
-        assert supplementary_witness(d)
+        assert eval_condition("K", d).is_zero
         d = gen_tilted_kite(seed).sextuple()
-        assert equal_angle_witness(d)
+        assert eval_condition("K_T", d).is_zero
 
 
 def test_midpoint_v_formulas_folded_rectangle():

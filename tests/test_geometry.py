@@ -17,12 +17,11 @@ from quadkit.geometry import (DistSextuple, GeometryError, HullClass,
                               HullTableError, Point, QuadConfig,
                               cayley_menger, classify_hull,
                               cocircularity, config_from_obj, config_svg,
-                              config_to_obj, equal_angle_witness,
-                              gen_collinear_inorder, gen_cyclic, gen_folded,
-                              gen_reflected, gen_tilted_kite, hull_from_signs,
-                              hull_table, midpoint_distances,
-                              r_condition_is_zero, random_quad, reflect_over_line,
-                              rt_condition_is_zero, same_cycle,
+                              config_to_obj, gen_collinear_inorder,
+                              gen_cyclic, gen_folded, gen_reflected,
+                              gen_tilted_kite, hull_from_signs, hull_table,
+                              midpoint_distances, random_quad,
+                              reflect_over_line, same_cycle,
                               sextuple_from_obj, sextuple_to_obj, signed_areas,
                               unit_circle_point, unrealizable_patterns)
 
@@ -410,7 +409,7 @@ def test_gen_cyclic_orders_and_determinism():
 def test_gen_folded_has_supplementary_family_conditions():
     for seed in range(25):
         cfg = gen_folded(seed)
-        assert r_condition_is_zero(cfg.sextuple())
+        assert eval_condition("R", cfg.sextuple()).is_zero
         assert cayley_menger(cfg.sextuple()) == 0
 
 
@@ -419,19 +418,20 @@ def test_gen_tilted_kite_hull_kinds():
         cv = gen_tilted_kite(seed, convex=True)
         assert classify_hull(cv).is_convex
         d = cv.sextuple()
-        assert rt_condition_is_zero(d) and equal_angle_witness(d)
+        assert (eval_condition("R_T", d).is_zero
+                and eval_condition("K_T", d).is_zero)
         cc = gen_tilted_kite(seed, convex=False)
         h = classify_hull(cc)
         assert h.kind == "concave3"
         # equal angles sit at A and C, so the interior vertex is B or D
         assert h.interior in ("B", "D")
-        assert rt_condition_is_zero(cc.sextuple())
+        assert eval_condition("R_T", cc.sextuple()).is_zero
 
 
 def test_gen_reflected_satisfies_kite_condition():
     for seed in range(15):
         cfg = gen_reflected(seed)
-        assert rt_condition_is_zero(cfg.sextuple())
+        assert eval_condition("R_T", cfg.sextuple()).is_zero
 
 
 def test_gen_tilted_kite_reflection_construction():
@@ -445,7 +445,8 @@ def test_gen_tilted_kite_reflection_construction():
     orders = set()
     for i, kite in enumerate(kites):
         d = kite.sextuple()
-        assert eval_condition("R_T", d).is_zero and equal_angle_witness(d)
+        assert (eval_condition("R_T", d).is_zero
+                and eval_condition("K_T", d).is_zero)
         hull = classify_hull(kite)
         if i % 2:
             assert hull.is_convex
