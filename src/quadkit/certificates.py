@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -668,9 +667,11 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
     a ray pair with one rational opening angle; B and D are where the lines
     meet.  A draw counts when B and D lie on the same side of A along A's
     lines, and of C along C's: reversing both rays at a vertex keeps the angle
-    between them.  Exact zero tests then check K_T and reject the cyclic
-    draws by R_T.  Directions are integer triples (x, y, w) for (x/w, y/w),
-    w > 0, so a draw builds no Fraction until it passes the side tests."""
+    between them.  The construction makes K_T vanish, so on the plane
+    P_T * Q_T * R_T = K_T**2 = 0: an exact zero test of R_T rejects the
+    cyclic draws, and K_T stays as the check of the construction.
+    Directions are integer triples (x, y, w) for (x/w, y/w), w > 0, so a
+    draw builds no Fraction until it passes the side tests."""
     want = "convex4" if convex else "concave3"
     randint = rng.randint
     A = Point(Fraction(0), Fraction(0))
@@ -698,8 +699,8 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
         if not cfg.distinct() or classify_hull(cfg).kind != want:
             continue
         d = cfg.sextuple()
-        if (eval_condition("K_T", d).is_zero
-                and eval_condition("R_T", d).is_zero):
+        if (eval_condition("R_T", d).is_zero
+                and eval_condition("K_T", d).is_zero):
             return cfg
 
 
@@ -895,6 +896,8 @@ def run_certificates(claims: Sequence[str] | None = None, seed: int = 0,
             raise ValueError(f"unknown claim {n!r}; known: {', '.join(CLAIMS)}")
     argv = [(n, seed, timeout, samples) for n in names]
     if jobs > 1 and len(names) > 1:
+        # imported here: the pool costs every other process 20-30 ms at start
+        from concurrent.futures import ProcessPoolExecutor
         # fork starts every worker up front, so never more than there are claims
         with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             return list(pool.map(_run_claim, argv))

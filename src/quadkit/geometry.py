@@ -270,26 +270,23 @@ def classify_hull(cfg: QuadConfig) -> HullClass:
 
 def cayley_menger(d: DistSextuple) -> Fraction:
     """The 5x5 distance determinant; 0 iff the six squared distances embed in
-    the plane, and 288 V^2 for a tetrahedron of volume V."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    qa, qb, qc, qd, qe, qf = d.as_tuple()
-    rows = [
-        [zero, one, one, one, one],
-        [one, zero, qa, qe, qd],
-        [one, qa, zero, qb, qf],
-        [one, qe, qb, zero, qc],
-        [one, qd, qf, qc, zero],
-    ]
-    return det(rows)
+    the plane, and 288 V^2 for a tetrahedron of volume V.  It is homogeneous
+    of degree 3 in the q's, so it runs on the q's times L, the lcm of their
+    denominators, and divides by L**3."""
+    qs = d.as_tuple()
+    L = lcm(*(q.denominator for q in qs))
+    qa, qb, qc, qd, qe, qf = (q.numerator * (L // q.denominator) for q in qs)
+    rows = [[0, 1, 1, 1, 1], [1, 0, qa, qe, qd], [1, qa, 0, qb, qf],
+            [1, qe, qb, 0, qc], [1, qd, qf, qc, 0]]
+    return Fraction(det(rows), L ** 3)
 
 
 def cocircularity(cfg: QuadConfig) -> Fraction:
-    """4x4 lifting determinant; 0 iff A, B, C, D lie on one circle or line."""
-    rows = []
-    for p in cfg.points():
-        rows.append([p.x * p.x + p.y * p.y, p.x, p.y, Fraction(1)])
-    return det(rows)
+    """4x4 lifting determinant; 0 iff A, B, C, D lie on one circle or line.
+    On the integer points its columns scale by int_scale**2, int_scale,
+    int_scale and 1, so the true value is the integer one over int_scale**4."""
+    rows = [[x * x + y * y, x, y, 1] for x, y in cfg.int_points.values()]
+    return Fraction(det(rows), cfg.int_scale ** 4)
 
 
 def midpoint_distances(d: DistSextuple) -> tuple[Fraction, Fraction, Fraction]:

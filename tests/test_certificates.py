@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -484,7 +485,8 @@ def test_process_pool_never_exceeds_the_claims(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(certificates, "ProcessPoolExecutor", FakePool)
+    # the pool is imported where it is used, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(certificates, "_run_claim", lambda argv: argv[0])
     assert run_certificates(["degenerate_R", "hull_tables"],
                             jobs=64) == ["degenerate_R", "hull_tables"]

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from quadkit.geometry import (cocircularity, config_to_obj, gen_cyclic,
                               gen_folded, gen_reflected, gen_tilted_kite,
                               random_quad, sextuple_to_obj)
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SQUARE = {"A": ["0", "0"], "B": ["1", "0"], "C": ["1", "1"], "D": ["0", "1"]}
 FOLDED_RECT_SEXT = {"qa": "16", "qb": "9", "qc": "16", "qd": "9",
                     "qe": "25", "qf": "49/25"}
@@ -28,6 +33,23 @@ def test_classify_square_text(tmp_path, capsys):
     assert rc == 0
     assert "convex ABCD" in out
     assert "cyclic (concyclic or collinear), convex" in out
+
+
+def test_classify_loads_no_process_pool(tmp_path):
+    # only prove --jobs N with N > 1 uses a pool; a fresh classify must not
+    # pay for importing multiprocessing or concurrent.futures
+    probe = (
+        "import sys, quadkit\n"
+        "from quadkit.cli import main\n"
+        f"assert main(['classify', {_write(tmp_path, SQUARE)!r}, "
+        "'--format', 'json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]", done.stdout
 
 
 def test_classify_square_json(tmp_path, capsys):

@@ -66,6 +66,15 @@ def test_cm_self_check():
     run_self_check()
 
 
+def test_cm_self_check_catches_a_wrong_determinant(monkeypatch):
+    # a determinant off by one on every sextuple must fail the start-up check
+    true_cm = conditions.cayley_menger
+    monkeypatch.setattr(conditions, "_SELF_CHECK_DONE", False)
+    monkeypatch.setattr(conditions, "cayley_menger", lambda d: true_cm(d) + 1)
+    with pytest.raises(AssertionError):
+        run_self_check()
+
+
 def test_eval_condition_worked_instances():
     # rectangle with sides 3, 4: Ptolemy is tight
     rect = DistSextuple(9, 16, 9, 16, 25, 25)

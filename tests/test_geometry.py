@@ -5,6 +5,7 @@ import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +275,54 @@ def test_cocircularity_examples():
     assert cocircularity(QuadConfig.of((0, 0), (1, 0), (2, 0), (3, 0))) == 0
     # (2,2) is off the circle through (0,0), (1,0), (0,1)
     assert cocircularity(QuadConfig.of((0, 0), (1, 0), (0, 1), (2, 2))) != 0
+
+
+def _fraction_det(rows):
+    # cofactor expansion on Fraction entries, independent of quadkit.poly.det
+    if len(rows) == 1:
+        return Fraction(rows[0][0])
+    return sum((-1) ** j * Fraction(a)
+               * _fraction_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]))
+
+
+def _cm_reference(qa, qb, qc, qd, qe, qf):
+    return _fraction_det([[0, 1, 1, 1, 1], [1, 0, qa, qe, qd],
+                          [1, qa, 0, qb, qf], [1, qe, qb, 0, qc],
+                          [1, qd, qf, qc, 0]])
+
+
+def _cocircularity_reference(cfg):
+    return _fraction_det([[p.x * p.x + p.y * p.y, p.x, p.y, 1]
+                          for p in cfg.points()])
+
+
+def test_integer_determinants_match_fraction_cofactor_reference():
+    rng = random.Random(19)
+
+    def q():
+        return Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+
+    for _ in range(200):
+        qs = [q() for _ in range(6)]
+        assert cayley_menger(DistSextuple(*qs)) == _cm_reference(*qs)
+        cfg = QuadConfig(*(Point(q() - q(), q() - q()) for _ in range(4)))
+        assert cocircularity(cfg) == _cocircularity_reference(cfg)
+        assert cayley_menger(cfg.sextuple()) == 0
+    # DistSextuple refuses a zero entry, but the determinant is defined
+    # there: a stand-in with the same as_tuple reaches it
+    for _ in range(20):
+        qs = [Fraction(0)] + [q() for _ in range(5)]
+        rng.shuffle(qs)
+        stub = SimpleNamespace(as_tuple=lambda qs=tuple(qs): qs)
+        assert cayley_menger(stub) == _cm_reference(*qs)
+    # collinear points: on one line, both determinants vanish
+    for _ in range(20):
+        a, b, c = q(), q(), q()
+        cfg = QuadConfig(*(Point(x, a * x + b) for x in (c, c + 1, q(), -q())))
+        assert cocircularity(cfg) == _cocircularity_reference(cfg) == 0
+        assert cayley_menger(cfg.sextuple()) == _cm_reference(
+            *cfg.sextuple().as_tuple()) == 0
 
 
 # -- midpoint distances ------------------------------------------------------------
