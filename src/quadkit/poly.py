@@ -563,22 +563,21 @@ def det(rows: Sequence[Sequence]) -> object:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
+    return _cofactor_det(rows)
+
+
+def _cofactor_det(rows: Sequence[Sequence]) -> object:
+    """`det` of a matrix known to be square; its minors are square too."""
+    n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    for j in range(n):
-        a = rows[0][j]
-        if isinstance(a, (int, Fraction)) and not a:
-            continue
-        if isinstance(a, Polynomial) and a.is_zero:
+    total = rows[0][0] * 0  # ring zero of the entry type
+    for j, a in enumerate(rows[0]):
+        if not a:
             continue
         minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-        term = a * det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return rows[0][0] * 0  # ring zero of the entry type
+        term = a * _cofactor_det(minor)
+        total = total - term if j % 2 else total + term
     return total

@@ -22,7 +22,7 @@ from quadkit.conditions import condition_poly
 from quadkit.geometry import (HullClass, QuadConfig, classify_hull,
                               config_to_obj, hull_from_signs, random_quad,
                               unrealizable_patterns)
-from quadkit.poly import GREVLEX, Polynomial
+from quadkit.poly import Polynomial
 from quadkit.radicals import RadicalValue
 
 
@@ -40,23 +40,23 @@ def test_schemes_have_expected_generators():
     # as grevlex texts
     expected = (
         (ptolemy_scheme(), "ptolemy", "0 0 a 0 u v w z", (
-            "a^2 - b^2 - 2*a*u + u^2 + v^2",
-            "-c^2 + u^2 + v^2 - 2*u*w + w^2 - 2*v*z + z^2",
-            "-d^2 + w^2 + z^2",
-            "-e^2 + u^2 + v^2",
-            "a^2 - f^2 - 2*a*w + w^2 + z^2")),
+            "a^2 - b^2 + v^2 - 2*a*u + u^2",
+            "-c^2 + v^2 - 2*v*z + z^2 + u^2 - 2*u*w + w^2",
+            "-d^2 + z^2 + w^2",
+            "-e^2 + v^2 + u^2",
+            "a^2 - f^2 + z^2 - 2*a*w + w^2")),
         (r_scheme(), "supplementary", "u v f 0 w z 0 0", (
-            "-a^2 + f^2 - 2*f*u + u^2 + v^2",
-            "-e^2 + u^2 + v^2 - 2*u*w + w^2 - 2*v*z + z^2",
-            "-c^2 + w^2 + z^2",
-            "-d^2 + u^2 + v^2",
-            "-b^2 + f^2 - 2*f*w + w^2 + z^2")),
+            "-a^2 + f^2 + v^2 - 2*f*u + u^2",
+            "-e^2 + v^2 - 2*v*z + z^2 + u^2 - 2*u*w + w^2",
+            "-c^2 + z^2 + w^2",
+            "-d^2 + v^2 + u^2",
+            "-b^2 + f^2 + z^2 - 2*f*w + w^2")),
         (t_scheme(), "equal-angle", "0 0 u v e 0 w z", (
-            "-a^2 + u^2 + v^2",
-            "-b^2 + e^2 - 2*e*u + u^2 + v^2",
-            "-c^2 + e^2 - 2*e*w + w^2 + z^2",
-            "-d^2 + w^2 + z^2",
-            "-f^2 + u^2 + v^2 - 2*u*w + w^2 - 2*v*z + z^2")))
+            "-a^2 + v^2 + u^2",
+            "-b^2 + e^2 + v^2 - 2*e*u + u^2",
+            "-c^2 + e^2 + z^2 - 2*e*w + w^2",
+            "-d^2 + z^2 + w^2",
+            "-f^2 + v^2 - 2*v*z + z^2 + u^2 - 2*u*w + w^2")))
     for scheme, name, placement, gens in expected:
         assert scheme.name == name
         assert list(scheme.placement) == ["A", "B", "C", "D"]
@@ -92,11 +92,10 @@ def test_converse_ptolemy_tier2_only_on_tiny_budget():
     assert cert.tier1["completed"] is False
 
 
-def test_tier1_runs_with_y_above_x_and_records_the_scheme_order(
-        monkeypatch):
-    # tier 1 hands radical_membership the scheme's polynomials lifted onto
-    # _TIER1_VARS, while the record's ideal texts keep the scheme's order;
-    # the verdict is the same in both orders
+def test_tier1_runs_on_the_scheme_polynomials_it_records(monkeypatch):
+    # tier 1 hands radical_membership the scheme's own polynomials, in the
+    # scheme's order with the y-coordinates above the x-coordinates, and the
+    # record's ideal texts parse back to exactly those generators
     seen = []
     real = certificates.radical_membership
 
@@ -105,21 +104,14 @@ def test_tier1_runs_with_y_above_x_and_records_the_scheme_order(
         return real(f, gens, timeout=timeout)
 
     monkeypatch.setattr(certificates, "radical_membership", capture)
-    scheme_vars = certificates._SCHEME_VARS
-    tier1_vars = certificates._TIER1_VARS
-    assert tier1_vars.names == tuple("abcdefvzuw")
-    for run in (cert_converse_ptolemy, cert_parallelogram_case):
+    for run, scheme in ((cert_converse_ptolemy, ptolemy_scheme()),
+                        (cert_parallelogram_case, t_scheme())):
         cert = run(seed=1, timeout=60, samples=0)
         (f, gens), = seen
         seen.clear()
-        assert cert.status == CERTIFIED and cert.order == "grevlex"
-        assert f.vars == tier1_vars
-        assert all(g.vars == tier1_vars for g in gens)
-        on_scheme = [g.on_vars(scheme_vars) for g in gens]
-        assert cert.ideal == [g.to_text(GREVLEX) for g in on_scheme]
-        assert cert.ideal != [g.to_text(GREVLEX) for g in gens]
-        assert real(f, gens, timeout=60) is True
-        assert real(f.on_vars(scheme_vars), on_scheme, timeout=60) is True
+        assert f.vars.names == tuple("abcdefvzuw")
+        assert [Polynomial.parse(t, scheme.vars) for t in cert.ideal] == gens
+        assert cert.status == CERTIFIED
 
 
 @pytest.mark.parametrize("mutant", ["quartic_without_P", "quartic_plus_a"])

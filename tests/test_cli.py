@@ -366,9 +366,9 @@ def _drop_ms(obj):
 
 @pytest.mark.parametrize("flags, digest", [
     (["--samples", "10"],
-     "240b5d0f94d23f3f76853e66d3d067d4d91e709fd42113cdf5bdc50b96b636cf"),
+     "a43023a0d833c51780309e6bd2c6299fed7aaccb3ca13045e2feff99c8437c11"),
     (["--samples", "5", "--timeout", "0"],
-     "8e9487a6b5d47dc557c2cf10bd708f53624e5b7c5394926b0ebab5e9a906349f"),
+     "ec13841053a39095a6864551d6791bec4bfc46c2cbec016a9d6cf84c992177fe"),
 ])
 def test_prove_records_pinned(capsys, flags, digest):
     # all 16 records with their timings dropped: statuses, tier-1 verdicts,

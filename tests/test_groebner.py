@@ -276,12 +276,12 @@ def test_full_basis_hashes_pinned():
 
     from quadkit import certificates, conditions
     expected = {
-        "ptolemy_scheme": "84b509f491415713996fb1fe25a90cfe"
-                          "fc495056b321754736eaf95eeace612d",
-        "r_scheme": "e9878ce5d4cd2894e683032644a37f15"
-                    "aa4e303f9d64f9b110c1662579eee19f",
-        "t_scheme": "5849d05e769f77a18838f15e81bd4165"
-                    "b6e0bef9f3560cbd41ce4c1e19411e9d"}
+        "ptolemy_scheme": "3f3564b01f8f693b15272a9151aabe3d"
+                          "9a03342802927d67a4c6a47946d4f451",
+        "r_scheme": "f1216f0735889ba85e7cc08d413ff9a2"
+                    "e713376033696122b9c919952678283e",
+        "t_scheme": "0b444a78ac956ce8d063090256a6f04a"
+                    "353fa2efd796fb14d461d432847462ed"}
     for (builder, digest), cond in zip(expected.items(), ("P", "R", "R_T")):
         scheme = getattr(certificates, builder)()
         gens = list(scheme.generators) + [
@@ -292,23 +292,24 @@ def test_full_basis_hashes_pinned():
 
 def test_elimination_bases_hashes_pinned():
     # sha256 of the newline-joined texts() of the block-order bases behind
-    # elimination_ideal (u, v, w, z dropped) and of the elimination ideal
-    # they share, the monic Cayley-Menger polynomial
+    # elimination_ideal (the coordinates dropped, in the scheme's order v, z,
+    # u, w) and of the elimination ideal they share, the monic Cayley-Menger
+    # polynomial
     import hashlib
 
     from quadkit import certificates
     digest = lambda texts: hashlib.sha256("\n".join(texts).encode()).hexdigest()
-    drop = ("u", "v", "w", "z")
     expected = {
-        "ptolemy_scheme": "0574e349104dd7a3972d5ec6d940f301"
-                          "28e979b69a66250503ade2de5c91ba3b",
-        "r_scheme": "0a56ba32ba5d3e59da57757047d25374"
-                    "81d90f4a6a6f9dacc8ef0356dfb8925a",
-        "t_scheme": "3306dce7596ff36bd62a0e90372db62f"
-                    "41d015e43d437b514670d41bc39a6838"}
+        "ptolemy_scheme": "32d7fe608192d6e61d3d79ad61364b22"
+                          "b2a3096a57fe15b8c4944311e1fa0953",
+        "r_scheme": "02631746666be2c0176d71586c475082"
+                    "faad803fb8d6d623394d13484e2d64d6",
+        "t_scheme": "8a1cc4a7ce49a6599a15dac9fee8a4f4"
+                    "61bb0b6cab481db216979e061edb56fd"}
     for builder, want in expected.items():
         gens = list(getattr(certificates, builder)().generators)
         names = gens[0].vars.names
+        drop = tuple(n for n in names if n in {"u", "v", "w", "z"})
         work = VarSet(drop + tuple(n for n in names if n not in drop))
         gb = buchberger([g.on_vars(work) for g in gens],
                         MonomialOrder.block_elimination(len(drop)))
@@ -322,9 +323,9 @@ def test_elimination_bases_hashes_pinned():
 def test_pair_selection_reduction_counts(monkeypatch):
     # sugar selection under block orders cuts the S-pair reductions of the
     # elimination bases below the normal strategy's 226/122/176; the grevlex
-    # radical routes keep the normal strategy and, with the y-coordinates
-    # above the x-coordinates, take 126 and 146 reductions (291 and 195 in
-    # the scheme's order)
+    # radical routes keep the normal strategy and, in the scheme's order with
+    # the y-coordinates above the x-coordinates, take 126 and 146 reductions
+    # (291 and 195 with x above y, so these bounds also guard the order)
     import quadkit.groebner as groebner
     from quadkit import certificates
     calls = 0

@@ -182,3 +182,13 @@ def test_det_small_matrices():
     x, y = Polynomial.variables(XY)
     sym = det([[x, y], [y, x]])
     assert sym == x ** 2 - y ** 2
+
+
+def test_det_rejects_non_square_matrices():
+    one = Fraction(1)
+    with pytest.raises(ValueError, match="square"):
+        det([[one, one], [one]])
+    with pytest.raises(ValueError, match="square"):
+        det([[one, one, one], [one, one, one]])
+    with pytest.raises(ValueError, match="square"):
+        det([[one, 0, 0], [0, one, 0], [0, 0]])
