@@ -244,9 +244,7 @@ def cert_converse_ptolemy(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
         return ({"samples": samples, "violations": bad,
                  "nonzero_determinant_controls": nonzero_controls},
                 ["cocircularity quartic derived from the 4x4 lifting "
-                 f"determinant: {quartic.to_text(GREVLEX)}; the v^2*z "
-                 "coefficient is -1 times the leading a factor (single "
-                 "occurrence)"])
+                 f"determinant: {quartic.to_text(GREVLEX)}"])
 
     return _certify(
         "converse_ptolemy",
@@ -578,32 +576,31 @@ def _apex(rng: random.Random) -> tuple[Fraction, Fraction]:
 @lru_cache(maxsize=1)
 def _degenerate_families() -> dict[str, tuple]:
     """Per family: its condition's name; the squared diagonal laid on the
-    axis from the origin to (2h, 0); the draw of the free axis point and
-    whether it comes before the case; and one row per case, in the order the
-    draw picks them: its name; A, B, C, D from the half axis h, the apex
-    height k and the free point x; exactly the flat triangles; two sides of
-    equal length; one further polynomial that vanishes (the family's angle
-    condition K or K_T when an apex is off the axis, else Heron or Gamma);
-    whether the case draws its own apex and free point."""
+    axis from the origin to (2h, 0); the draw of the free axis point; and one
+    row per case, in the order the draw picks them: its name; A, B, C, D
+    from the half axis h, the apex height k and the free point x; exactly
+    the flat triangles; two sides of equal length; one further polynomial
+    that vanishes (the family's angle condition K or K_T when an apex is off
+    the axis, else Heron or Gamma)."""
     return {
         # D at the origin, B = (2h, 0), the free point outside BD
-        "R": ("R", "qf", _frac_outside, True, (
+        "R": ("R", "qf", _frac_outside, (
             ("all_collinear",
              lambda h, k, x: ((x, 0), (2 * h, 0), (h, 0), (0, 0)),
-             TRIANGLES, ("qb", "qc"), _heron_poly(), False),
+             TRIANGLES, ("qb", "qc"), _heron_poly()),
             ("case2", lambda h, k, x: ((x, 0), (2 * h, 0), (h, k), (0, 0)),
-             ("ABD",), ("qb", "qc"), condition_poly("K"), False),
+             ("ABD",), ("qb", "qc"), condition_poly("K")),
             ("case3", lambda h, k, x: ((h, k), (2 * h, 0), (x, 0), (0, 0)),
-             ("BCD",), ("qa", "qd"), condition_poly("K"), True))),
+             ("BCD",), ("qa", "qd"), condition_poly("K")))),
         # A at the origin, C = (2h, 0), the free point inside AC
-        "R_T": ("R_T", "qe", _frac_inside, False, (
+        "R_T": ("R_T", "qe", _frac_inside, (
             ("all_collinear",
              lambda h, k, x: ((0, 0), (x, 0), (2 * h, 0), (h, 0)),
-             TRIANGLES, ("qc", "qd"), _gamma_poly(), False),
+             TRIANGLES, ("qc", "qd"), _gamma_poly()),
             ("case2", lambda h, k, x: ((0, 0), (x, 0), (2 * h, 0), (h, k)),
-             ("ABC",), ("qc", "qd"), condition_poly("K_T"), False),
+             ("ABC",), ("qc", "qd"), condition_poly("K_T")),
             ("case3", lambda h, k, x: ((0, 0), (h, k), (2 * h, 0), (x, 0)),
-             ("ACD",), ("qa", "qb"), condition_poly("K_T"), True))),
+             ("ACD",), ("qa", "qb"), condition_poly("K_T")))),
     }
 
 
@@ -614,22 +611,16 @@ def cert_degenerate_cases(family: str, seed: int = 0, samples: int = 200,
     relations exactly.  Sampling only, so `timeout` is ignored."""
     if family not in ("R", "R_T"):
         raise ValueError("family must be 'R' or 'R_T'")
-    condition, axis, free_point, free_first, cases = \
-        _degenerate_families()[family]
+    condition, axis, free_point, cases = _degenerate_families()[family]
 
     def tier2():
         rng = random.Random(seed)
         checks = {case[0]: 0 for case in cases}
         bad = 0
         for _ in range(samples):
+            name, place, flat, (s1, s2), zero = rng.choice(cases)
             h, k = _apex(rng)
-            if free_first:
-                x = free_point(rng, Fraction(0), 2 * h)
-            name, place, flat, (s1, s2), zero, redraw = rng.choice(cases)
-            if redraw:
-                h, k = _apex(rng)
-            if redraw or not free_first:
-                x = free_point(rng, Fraction(0), 2 * h)
+            x = free_point(rng, Fraction(0), 2 * h)
             if x == h:
                 continue  # the free point at the apex's foot (B = D when flat)
             cfg = QuadConfig.of(*place(h, k, x))
@@ -850,7 +841,7 @@ def cert_hull_tables(seed: int = 0, samples: int = 100000,
     return _certify(
         "hull_tables",
         "sign-table hull classification agrees with a direct orientation "
-        "oracle; the two impossible sign rows never occur", tier2)
+        "oracle; the 42 impossible sign rows never occur", tier2)
 
 
 # ---------------------------------------------------------------------------

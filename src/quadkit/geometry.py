@@ -29,8 +29,8 @@ class GeometryError(ValueError):
 
 
 class HullTableError(AssertionError):
-    """A sign pattern the classification tables mark unrealizable appeared,
-    or an impossible zero pattern: indicates an arithmetic bug."""
+    """A sign row that four distinct points cannot give appeared: indicates
+    an arithmetic bug."""
 
 
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*$", re.IGNORECASE)
@@ -225,7 +225,6 @@ _HULL_TABLE: dict[tuple[int, int, int, int], tuple[str, str]] = {
     (-1, 1, -1, -1): ("concave3", "BDC"),
     (-1, 1, 1, 1): ("concave3", "CDA"),
 }
-_UNREALIZABLE = {(1, -1, -1, 1), (-1, 1, 1, -1)}
 TRIANGLES = ("ABC", "ABD", "BCD", "ACD")  # SignedAreas and sign-row order
 
 
@@ -234,27 +233,24 @@ def hull_table() -> dict[tuple[int, int, int, int], tuple[str, str]]:
     return dict(_HULL_TABLE)
 
 
-def unrealizable_patterns() -> frozenset:
-    return frozenset(_UNREALIZABLE)
-
-
 def hull_from_signs(signs: tuple[int, int, int, int]) -> HullClass:
-    """Hull of four distinct points from the signs of ABC, ABD, BCD, ACD,
-    read off the sign tables.  HullTableError on an unrealizable row or on
-    two or three zeros: either means an arithmetic bug."""
-    zeros = signs.count(0)
-    if not zeros:
-        if signs in _UNREALIZABLE:
-            raise HullTableError(f"unrealizable sign pattern {signs}")
+    """Hull of four distinct points from the signs of ABC, ABD, BCD, ACD.
+    A row without a zero is read off the sign table.  Otherwise the terms
+    [ABC] - [ABD] + [ACD] - [BCD] sum to 0: all four zero is collinear4,
+    and one zero is collinear3 unless the other three share one sign.  Any
+    other row cannot come from distinct points (two flat triples share two
+    points, so all four lie on one line): HullTableError, an arithmetic bug."""
+    if signs in _HULL_TABLE:
         kind, tri = _HULL_TABLE[signs]
         inner = "".join(v for v in "ABCD" if v not in tri)  # "" if convex
         return HullClass(kind, boundary=tri, interior=inner)
-    if zeros == 4:
+    abc, abd, bcd, acd = signs
+    terms = (abc, -abd, acd, -bcd)
+    if not any(terms):
         return HullClass("collinear4")
-    if zeros == 1:
+    if terms.count(0) == 1 and len(set(terms)) == 3:
         return HullClass("collinear3", triple=TRIANGLES[signs.index(0)])
-    raise HullTableError(
-        f"impossible zero pattern {signs} for distinct points")
+    raise HullTableError(f"sign row {signs} is impossible for distinct points")
 
 
 def classify_hull(cfg: QuadConfig) -> HullClass:
@@ -427,7 +423,7 @@ def gen_tilted_kite(seed_or_rng, convex: bool = True) -> QuadConfig:
     kind, built by the reflection theorem: a cyclic configuration in order
     ACBD or ACDB (chosen at random) with C reflected across BD.  A and the
     moved C lie on opposite sides of BD, so the hull is convex ABCD or a
-    triangle with B or D interior; draws of the other kind are redrawn.
+    triangle with B or D interior; draws of the other kind are drawn again.
     """
     rng = _rng(seed_or_rng)
     want = "convex4" if convex else "concave3"

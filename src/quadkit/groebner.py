@@ -365,8 +365,6 @@ def _buchberger(gens: list[Polynomial], vars0: VarSet, order: MonomialOrder,
     while pairs:
         _check_deadline(deadline)
         s, L, i, j = heapq.heappop(pairs)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         gi, gj = basis[i], basis[j]
         if L == gi.lt + gj.lt:

@@ -325,7 +325,6 @@ class RadicalValue:
         if self.is_rational():
             return RadicalValue.from_rational(1 / self.rational_part())
         p = min(factorize(s)[0][0] for s in self._coords if s != 1)
-        plain: dict[int, Fraction] = {}
         conj: dict[int, Fraction] = {}
         for s, c in self._coords.items():
             if s % p == 0:

@@ -20,9 +20,8 @@ from quadkit.certificates import (CERTIFIED, CLAIMS, FAILED, INCONCLUSIVE,
                                   run_certificates, t_scheme)
 from quadkit.conditions import condition_poly
 from quadkit.geometry import (HullClass, QuadConfig, classify_hull,
-                              config_to_obj, hull_from_signs, random_quad,
-                              unrealizable_patterns)
-from quadkit.poly import Polynomial
+                              config_to_obj, hull_from_signs, random_quad)
+from quadkit.poly import GREVLEX, Polynomial
 from quadkit.radicals import RadicalValue
 
 
@@ -67,7 +66,7 @@ def test_schemes_have_expected_generators():
 
 def test_scheme_cocircle_quartic_shape():
     q = ptolemy_scheme().cocircle()
-    # quartic, and the v^2*z coefficient has magnitude 1 (times the a factor)
+    # quartic, and the a*v^2*z coefficient is +1
     assert q.total_degree() == 4
     vars_ = ptolemy_scheme().vars
     idx = {n: i for i, n in enumerate(vars_.names)}
@@ -75,7 +74,11 @@ def test_scheme_cocircle_quartic_shape():
     mono[idx["a"]] = 1
     mono[idx["v"]] = 2
     mono[idx["z"]] = 1
-    assert abs(q.terms[tuple(mono)]) == 1
+    assert q.terms[tuple(mono)] == 1
+    # the converse record's note states that quartic and nothing more
+    cert = cert_converse_ptolemy(seed=5, timeout=0, samples=1)
+    assert cert.notes == [("cocircularity quartic derived from the 4x4 "
+                           f"lifting determinant: {q.to_text(GREVLEX)}")]
 
 
 def test_converse_ptolemy_certified():
@@ -251,11 +254,11 @@ def test_degenerate_check_fails_on_the_wrong_angle_condition(monkeypatch):
     # R_T family's (e^2*a*b), so every case2 draw is a violation
     families = certificates._degenerate_families()
     for family, wrong in (("R", "K_T"), ("R_T", "K")):
-        condition, axis, free_point, free_first, cases = families[family]
-        cases = tuple(row[:4] + (condition_poly(wrong),) + row[5:]
+        condition, axis, free_point, cases = families[family]
+        cases = tuple(row[:4] + (condition_poly(wrong),)
                       if row[0] == "case2" else row for row in cases)
         monkeypatch.setattr(certificates, "_degenerate_families", lambda: {
-            family: (condition, axis, free_point, free_first, cases)})
+            family: (condition, axis, free_point, cases)})
         cert = cert_degenerate_cases(family, seed=4, samples=120)
         assert cert.status == FAILED
         assert cert.tier2["violations"] == cert.tier2["by_case"]["case2"] > 0
@@ -263,10 +266,10 @@ def test_degenerate_check_fails_on_the_wrong_angle_condition(monkeypatch):
 
 def test_degenerate_records_pinned():
     # the seeded draws of both families, case by case
-    pinned = {("R", 0, 200): (200, (79, 65, 56)),
-              ("R", 4, 120): (120, (37, 43, 40)),
-              ("R_T", 0, 200): (188, (66, 62, 60)),
-              ("R_T", 4, 120): (112, (34, 41, 37))}
+    pinned = {("R", 0, 200): (200, (68, 70, 62)),
+              ("R", 4, 120): (120, (40, 35, 45)),
+              ("R_T", 0, 200): (186, (53, 74, 59)),
+              ("R_T", 4, 120): (114, (42, 39, 33))}
     for (family, seed, samples), (n, by_case) in pinned.items():
         tier2 = cert_degenerate_cases(family, seed, samples).tier2
         del tier2["elapsed_ms"]
@@ -405,12 +408,15 @@ def test_row_verdict_on_all_81_sign_rows():
     # whole of the agreement check
     rows = list(product((-1, 0, 1), repeat=4))
     refused = {r for r in rows if certificates._row_verdict(r)[0] is None}
-    assert refused == (unrealizable_patterns()
-                       | {r for r in rows if r.count(0) in (2, 3)})
-    assert len(refused) == 2 + 24 + 8
+    assert {r for r in refused if 0 not in r} == {(1, -1, -1, 1),
+                                                  (-1, 1, 1, -1)}
+    assert {r for r in rows if r.count(0) in (2, 3)} <= refused
+    assert [sum(r.count(0) == z for r in refused) for z in range(5)] == \
+        [2, 8, 24, 8, 0]
+    assert len(refused) == 2 + 8 + 24 + 8
     kept = [r for r in rows if r not in refused]
     assert [sum(r.count(0) == z for r in kept) for z in (0, 1, 4)] == \
-        [14, 32, 1]
+        [14, 24, 1]
     for r in kept:
         assert certificates._row_verdict(r) == (hull_from_signs(r).kind,
                                                 True), r

@@ -366,9 +366,9 @@ def _drop_ms(obj):
 
 @pytest.mark.parametrize("flags, digest", [
     (["--samples", "10"],
-     "a43023a0d833c51780309e6bd2c6299fed7aaccb3ca13045e2feff99c8437c11"),
+     "5a04c0e62bd7b2f28ac65f424d47f3552f68289bfea8eae5e7971c5c76e3dbf5"),
     (["--samples", "5", "--timeout", "0"],
-     "ec13841053a39095a6864551d6791bec4bfc46c2cbec016a9d6cf84c992177fe"),
+     "e347518da795c7bc8a257590857359aa4b1793694d106cd997935411d2e9be6a"),
 ])
 def test_prove_records_pinned(capsys, flags, digest):
     # all 16 records with their timings dropped: statuses, tier-1 verdicts,

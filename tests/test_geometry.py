@@ -24,7 +24,8 @@ from quadkit.geometry import (DistSextuple, GeometryError, HullClass,
                               midpoint_distances, random_quad,
                               reflect_over_line, same_cycle,
                               sextuple_from_obj, sextuple_to_obj, signed_areas,
-                              unit_circle_point, unrealizable_patterns)
+                              unit_circle_point)
+from quadkit.poly import Polynomial, VarSet, det
 
 SQUARE = QuadConfig.of((0, 0), (1, 0), (1, 1), (0, 1))
 RECT34 = QuadConfig.of((0, 0), (4, 0), (4, 3), (0, 3))
@@ -113,13 +114,47 @@ def test_one_witness_per_sign_row():
         hull = classify_hull(cfg)
         assert (hull.kind, hull.boundary) == table[signs]
         assert _hulls_agree(hull, oracle_hull(cfg))
-    for signs in unrealizable_patterns():
+    # the 16 rows with no zero: the 14 table keys and two impossible rows
+    outside = {(1, -1, -1, 1), (-1, 1, 1, -1)}
+    for signs in outside:
         with pytest.raises(HullTableError):
             hull_from_signs(signs)
-    # the 16 rows with no zero: the 14 table keys and the two unrealizable
-    no_zero = set(product((-1, 1), repeat=4))
-    assert no_zero == set(table) | unrealizable_patterns()
-    assert len(table) == 14 and len(unrealizable_patterns()) == 2
+    assert set(product((-1, 1), repeat=4)) == set(table) | outside
+    assert len(table) == 14
+
+
+def test_accepted_sign_rows_are_those_of_distinct_points():
+    # the rule behind hull_from_signs: the doubled areas, each a 3x3
+    # determinant of symbolic coordinates, satisfy
+    # [ABC] - [ABD] + [ACD] - [BCD] = 0 identically
+    names = VarSet(c + v for v in "ABCD" for c in "xy")
+    one = Polynomial.one(names)
+    coords = Polynomial.variables(names)
+    xy = {v: coords[2 * i:2 * i + 2] for i, v in enumerate("ABCD")}
+    area = {t: det([[*xy[v], one] for v in t])
+            for t in ("ABC", "ABD", "BCD", "ACD")}
+    assert area["ABC"] - area["ABD"] + area["ACD"] - area["BCD"] == \
+        Polynomial.zero(names)
+    # every ordered quadruple of distinct points of the 4x4 integer grid,
+    # signed by its own integer cross products, realizes exactly the rows
+    # the tables accept
+    realized = set()
+    for (ax, ay), (bx, by), (cx, cy), (dx, dy) in permutations(
+            product(range(4), repeat=2), 4):
+        crosses = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
+                   (bx - ax) * (dy - ay) - (by - ay) * (dx - ax),
+                   (cx - bx) * (dy - by) - (cy - by) * (dx - bx),
+                   (cx - ax) * (dy - ay) - (cy - ay) * (dx - ax))
+        realized.add(tuple((v > 0) - (v < 0) for v in crosses))
+    accepted = set()
+    for signs in product((-1, 0, 1), repeat=4):
+        try:
+            hull_from_signs(signs)
+        except HullTableError:
+            continue
+        accepted.add(signs)
+    assert realized == accepted
+    assert len(accepted) == 39
 
 
 def test_hull_invariant_under_rigid_motions_and_scaling():
@@ -201,7 +236,7 @@ def _orientation_cases():
     for _ in range(40):
         yield gen_collinear_inorder(rng)
     for family in ("R", "R_T"):  # the degenerate placements
-        for row in _degenerate_families()[family][4]:
+        for row in _degenerate_families()[family][3]:
             for _ in range(20):
                 h = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
                 k = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
