@@ -28,7 +28,7 @@ from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, Point, QuadConfig,
                        classify_hull, cocircularity, gen_collinear_inorder,
                        gen_cyclic, gen_folded, gen_tilted_kite,
                        hull_from_signs, hull_table, random_quad,
-                       reflect_over_line, same_cycle, signed_areas)
+                       reflect_over_line, same_cycle)
 from .groebner import GroebnerTimeout, radical_membership
 from .poly import GREVLEX, Polynomial, VarSet, det
 
@@ -224,16 +224,14 @@ def cert_converse_ptolemy(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
     quartic = scheme.cocircle()
 
     def tier2():
-        # exact cyclic samples satisfy P = 0 and the determinant vanishes;
-        # random non-cocircular samples keep the determinant nonzero
+        # exact samples of the P family satisfy P = 0 and the determinant
+        # vanishes; random non-cocircular samples keep it nonzero
         rng = random.Random(seed)
         bad = 0
         nonzero_controls = 0
-        for i in range(samples):
-            if i % 25 == 24:
-                cfg = gen_collinear_inorder(rng)
-            else:
-                cfg = gen_cyclic(rng, "ABCD" if i % 2 == 0 else "ADCB")
+        stream = _family_samples(scheme.family, rng)
+        for _ in range(samples):
+            cfg = next(stream)
             if not eval_condition("P", cfg.sextuple()).is_zero:
                 bad += 1
             elif cocircularity(cfg) != 0:
@@ -625,9 +623,7 @@ def cert_degenerate_cases(family: str, seed: int = 0, samples: int = 200,
                 continue  # the free point at the apex's foot (B = D when flat)
             cfg = QuadConfig.of(*place(h, k, x))
             d6 = cfg.sextuple()
-            areas = signed_areas(cfg).as_tuple()
-            ok = ({t for t, ar in zip(TRIANGLES, areas) if ar == 0}
-                  == set(flat)
+            ok = ({t for t in TRIANGLES if cfg.cross(t) == 0} == set(flat)
                   and eval_condition(condition, d6).is_zero
                   and getattr(d6, axis) == 4 * h * h
                   and getattr(d6, s1) == getattr(d6, s2)
@@ -657,7 +653,7 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
     lines, and of C along C's: reversing both rays at a vertex keeps the angle
     between them.  The construction makes K_T vanish, so on the plane
     P_T * Q_T * R_T = K_T**2 = 0: an exact zero test of R_T rejects the
-    cyclic draws, and K_T stays as the check of the construction.
+    cyclic draws, and K_T is asserted once on the kite returned.
     Directions are integer triples (x, y, w) for (x/w, y/w), w > 0, so a
     draw builds no Fraction until it passes the side tests."""
     want = "convex4" if convex else "concave3"
@@ -687,9 +683,11 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
         if not cfg.distinct() or classify_hull(cfg).kind != want:
             continue
         d = cfg.sextuple()
-        if (eval_condition("R_T", d).is_zero
-                and eval_condition("K_T", d).is_zero):
-            return cfg
+        if not eval_condition("R_T", d).is_zero:
+            continue
+        if not eval_condition("K_T", d).is_zero:
+            raise geometry.GeometryError("ray-pair kite has K_T != 0")
+        return cfg
 
 
 def cert_reflection_theorem(seed: int = 0, samples: int = 500,
@@ -714,14 +712,13 @@ def cert_reflection_theorem(seed: int = 0, samples: int = 500,
         def zero(name, cfg):
             return eval_condition(name, cfg.sextuple()).is_zero
 
-        def ptqt(cfg):
-            d6 = cfg.sextuple()
-            return eval_condition("P_T", d6) * eval_condition("Q_T", d6)
+        def ptqt_zero(cfg):  # a field has no zero divisors
+            return zero("P_T", cfg) or zero("Q_T", cfg)
 
         def off_ptqt():
             while True:
                 cfg = random_quad(rng)
-                if not ptqt(cfg).is_zero:
+                if not ptqt_zero(cfg):
                     return cfg
 
         return ({"cyclic_ACBD_to_reflected_RT_zero":
@@ -729,7 +726,7 @@ def cert_reflection_theorem(seed: int = 0, samples: int = 500,
                       lambda c, r: zero("Q_T", c) and zero("R_T", r)),
                  "kite_to_reflected_PTQT_zero":
                  part(lambda: _ray_kite(rng, convex=bool(rng.random() < 0.5)),
-                      lambda c, r: zero("R_T", c) and ptqt(r).is_zero),
+                      lambda c, r: zero("R_T", c) and ptqt_zero(r)),
                  "PTQT_nonzero_keeps_reflected_RT_nonzero":
                  part(off_ptqt, lambda c, r: not zero("R_T", r))}, [])
 

@@ -248,15 +248,15 @@ def midpoint_v_formulas(d: DistSextuple) -> tuple[RadicalValue, RadicalValue]:
 _SELF_CHECK_DONE = False
 
 
-def run_self_check(samples: int = 50, seed: int = 20260810) -> None:
+def run_self_check() -> None:
     """Assert the expanded CM polynomial agrees with the 5x5 determinant on
-    random rational sextuples; cached after the first successful run."""
+    50 random rational sextuples; cached after the first successful run."""
     global _SELF_CHECK_DONE
     if _SELF_CHECK_DONE:
         return
-    rng = random.Random(seed)
+    rng = random.Random(20260810)
     cm = condition_poly("CM")
-    for _ in range(samples):
+    for _ in range(50):
         d = DistSextuple(*[Fraction(rng.randint(1, 400), rng.randint(1, 20))
                            for _ in range(6)])
         sym = eval_poly_on_sextuple(cm, d)

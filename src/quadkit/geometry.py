@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, lcm
+from typing import Callable
 from .poly import det
 
 
@@ -207,8 +208,8 @@ def same_cycle(s1: str, s2: str) -> bool:
     return len(s1) == len(s2) and s1 in s2 + s2
 
 
-# sign rows (ABC, ABD, BCD, ACD) -> hull; interior vertex of a concave row is
-# the one missing from the triangle string
+# sign rows (ABC, ABD, BCD, ACD) with ABC > 0 -> hull; interior vertex of a
+# concave row is the one missing from the triangle string
 _HULL_TABLE: dict[tuple[int, int, int, int], tuple[str, str]] = {
     (1, 1, 1, 1): ("convex4", "ABCD"),
     (1, 1, -1, -1): ("convex4", "ABDC"),
@@ -217,14 +218,10 @@ _HULL_TABLE: dict[tuple[int, int, int, int], tuple[str, str]] = {
     (1, 1, -1, 1): ("concave3", "ABD"),
     (1, -1, 1, 1): ("concave3", "BCD"),
     (1, -1, -1, -1): ("concave3", "CAD"),
-    (-1, -1, -1, -1): ("convex4", "ADCB"),
-    (-1, -1, 1, 1): ("convex4", "ACDB"),
-    (-1, 1, -1, 1): ("convex4", "ACBD"),
-    (-1, -1, -1, 1): ("concave3", "ACB"),
-    (-1, -1, 1, -1): ("concave3", "ADB"),
-    (-1, 1, -1, -1): ("concave3", "BDC"),
-    (-1, 1, 1, 1): ("concave3", "CDA"),
 }
+# the mirror rows: a reflection flips every sign and reverses each hull
+_HULL_TABLE |= {tuple(-s for s in signs): (kind, tri[0] + tri[:0:-1])
+                for signs, (kind, tri) in _HULL_TABLE.items()}
 TRIANGLES = ("ABC", "ABD", "BCD", "ACD")  # SignedAreas and sign-row order
 
 
@@ -333,7 +330,7 @@ def _rng(seed_or_rng) -> random.Random:
     return random.Random(seed_or_rng)
 
 
-def _rand_fraction(rng: random.Random, lo: int, hi: int, max_den: int = 12
+def _rand_fraction(rng: random.Random, lo: int, hi: int, max_den: int
                    ) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
@@ -379,58 +376,54 @@ def gen_collinear_inorder(seed_or_rng) -> QuadConfig:
     return QuadConfig(*(Point(ox + x * ux, oy + x * uy) for x in sorted(xs)))
 
 
+def _reflected(draw: Callable[[], QuadConfig], vertex: str,
+               line: tuple[str, str], condition: str,
+               accept: Callable[[QuadConfig], bool]) -> QuadConfig:
+    """The one reflection construction: reflect `vertex` of `draw()` across
+    `line` until the integer tests of `accept` take the image, then assert
+    the family's `condition` once, exactly.  A broken construction raises
+    GeometryError; it is never drawn again."""
+    from .conditions import eval_condition  # conditions imports geometry
+    while not accept(image := reflect_over_line(draw(), vertex, line)):
+        pass
+    if not eval_condition(condition, image.sextuple()).is_zero:
+        raise GeometryError(f"reflected {vertex} gave {condition} != 0")
+    return image
+
+
 def gen_folded(seed_or_rng) -> QuadConfig:
     """Cyclic quadrilateral ABCD folded about the diagonal AC (D reflected),
-    the standard family with R = 0, K = 0 and P > 0."""
-    from .conditions import eval_condition  # conditions imports geometry
+    the standard family with R = 0, K = 0 and P > 0.  The fold keeps the
+    angle at D, so K = 0; D' lies on B's side of AC, so ABCD' is not in
+    cyclic order and P > 0.  On the plane K^2 = PQR with Q > 0, so R = 0."""
     rng = _rng(seed_or_rng)
-    while True:
-        cfg = gen_cyclic(rng, "ABCD")
-        folded = reflect_over_line(cfg, "D", ("A", "C"))
-        if (folded.distinct()
-                and not classify_hull(folded).kind.startswith("collinear")
-                and eval_condition("R", folded.sextuple()).is_zero):
-            return folded
-
-
-def _reflected_cyclic(rng: random.Random, order: str) -> QuadConfig:
-    """A cyclic configuration in order ACBD or ACDB with C reflected across BD.
-
-    A and C lie on the same arc cut off by BD, so the angles at A and C are
-    equal and C's mirror image lands on A's far side of BD (so the four points
-    stay distinct); by the reflection theorem the result satisfies the
-    tilted-kite condition R_T = 0 exactly."""
-    from .conditions import eval_condition  # conditions imports geometry
-    refl = reflect_over_line(gen_cyclic(rng, order), "C", ("B", "D"))
-    if not eval_condition("R_T", refl.sextuple()).is_zero:
-        raise GeometryError(f"reflected cyclic {order} configuration has "
-                            "R_T != 0")
-    return refl
+    return _reflected(lambda: gen_cyclic(rng, "ABCD"), "D", ("A", "C"), "R",
+                      lambda f: f.distinct() and classify_hull(f).kind
+                      not in ("collinear3", "collinear4"))
 
 
 def gen_reflected(seed_or_rng) -> QuadConfig:
     """Cyclic quadrilateral in order ACBD with C reflected across BD: the
-    reflection family, satisfying the tilted-kite condition exactly."""
+    reflection family.  A and C lie on one arc cut off by BD, so the angles
+    at A and C are equal and C's image lands on A's far side of BD (the four
+    points stay distinct); by the reflection theorem R_T = 0 exactly."""
     rng = _rng(seed_or_rng)
-    while True:
-        refl = _reflected_cyclic(rng, "ACBD")
-        if not classify_hull(refl).kind.startswith("collinear"):
-            return refl
+    return _reflected(lambda: gen_cyclic(rng, "ACBD"), "C", ("B", "D"), "R_T",
+                      lambda r: classify_hull(r).kind
+                      not in ("collinear3", "collinear4"))
 
 
 def gen_tilted_kite(seed_or_rng, convex: bool = True) -> QuadConfig:
     """Tilted kite (R_T = 0, equal angles at A and C) of the requested hull
-    kind, built by the reflection theorem: a cyclic configuration in order
-    ACBD or ACDB (chosen at random) with C reflected across BD.  A and the
-    moved C lie on opposite sides of BD, so the hull is convex ABCD or a
-    triangle with B or D interior; draws of the other kind are drawn again.
-    """
+    kind, built as `gen_reflected` from a cyclic configuration in order ACBD
+    or ACDB (chosen at random).  A and the moved C lie on opposite sides of
+    BD, so the hull is convex ABCD or a triangle with B or D interior; draws
+    of the other kind are redrawn."""
     rng = _rng(seed_or_rng)
     want = "convex4" if convex else "concave3"
-    while True:
-        kite = _reflected_cyclic(rng, rng.choice(("ACBD", "ACDB")))
-        if classify_hull(kite).kind == want:
-            return kite
+    return _reflected(lambda: gen_cyclic(rng, rng.choice(("ACBD", "ACDB"))),
+                      "C", ("B", "D"), "R_T",
+                      lambda k: classify_hull(k).kind == want)
 
 
 def _draw_quad(rng: random.Random, span: int, max_den: int
@@ -494,7 +487,7 @@ def sextuple_from_obj(obj) -> DistSextuple:
     return DistSextuple(*vals)
 
 
-def config_svg(cfg: QuadConfig, size: int = 440) -> str:
+def config_svg(cfg: QuadConfig) -> str:
     """A labeled SVG drawing; vertex coordinates converted to float once."""
     try:
         pts = {label: (float(p.x), float(p.y))
@@ -506,7 +499,7 @@ def config_svg(cfg: QuadConfig, size: int = 440) -> str:
     pad = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9) * 0.15
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
-    scale = size / max(x1 - x0, y1 - y0)
+    scale = 440 / max(x1 - x0, y1 - y0)  # the longer side: 440 px
     width, height = (x1 - x0) * scale, (y1 - y0) * scale
     if not (isfinite(width) and isfinite(height)):  # a span beyond float
         raise GeometryError("coordinates too large to draw")

@@ -243,10 +243,10 @@ class Polynomial:
     def leading_coeff(self, order: MonomialOrder) -> Fraction:
         return self.terms[self.leading_monomial(order)]
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX,
-                     reverse: bool = True) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self, order: MonomialOrder = GREVLEX
+                     ) -> list[tuple[Mono, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]),
-                      reverse=reverse)
+                      reverse=True)
 
     # -- arithmetic -------------------------------------------------------
 

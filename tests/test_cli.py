@@ -190,7 +190,7 @@ def test_generate_concave_kite_hull(capsys):
      "947376da6f9f5c6a93f0c133663b246ba07718f94b26e425e3ef72c313ab6d6d"),
     (["reflected"],
      "6e2b6be409a183d700cd228dd8e7dbdfe2937e7ccd85b98cb69bfeec6ff6f9db"),
-])
+], ids=["cyclic", "tilted_kite", "tilted_kite-concave", "folded", "reflected"])
 def test_generate_jsonl_pinned(capsys, family, digest):
     # sha256 of the JSONL, recorded before the unit-circle map and the
     # reflection moved to integers
@@ -369,7 +369,7 @@ def _drop_ms(obj):
      "5a04c0e62bd7b2f28ac65f424d47f3552f68289bfea8eae5e7971c5c76e3dbf5"),
     (["--samples", "5", "--timeout", "0"],
      "e347518da795c7bc8a257590857359aa4b1793694d106cd997935411d2e9be6a"),
-])
+], ids=["samples-10", "samples-5-timeout-0"])
 def test_prove_records_pinned(capsys, flags, digest):
     # all 16 records with their timings dropped: statuses, tier-1 verdicts,
     # ideals and every tier-2 count

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadkit import certificates, conditions
 from quadkit.certificates import (_degenerate_families, _hulls_agree,
                                   oracle_hull)
 from quadkit.conditions import eval_condition
@@ -539,6 +540,55 @@ def test_gen_tilted_kite_reflection_construction():
         orders.add(signed_areas(kite).abd > 0)
     assert orders == {True, False}
     assert elapsed < 2.0
+
+
+class _Runaway(Exception):
+    """A generator went on drawing after its construction check failed."""
+
+
+@pytest.mark.parametrize("make, condition", [
+    (gen_folded, "R"),
+    (gen_reflected, "R_T"),
+    (lambda rng: gen_tilted_kite(rng, convex=False), "R_T"),
+    (lambda rng: certificates._ray_kite(rng, convex=True), "K_T"),
+], ids=["folded", "reflected", "tilted_kite", "ray_kite"])
+def test_broken_construction_raises_on_first_accepted_draw(monkeypatch, make,
+                                                           condition):
+    # the family's condition is stubbed never to vanish (the ray kite's R_T
+    # filter still sees the true value): the generator must raise on the
+    # first draw its integer tests accept, and not draw again; the sentinel
+    # after 50 evaluations stops a generator that would loop forever
+    calls = []
+
+    def stub(name, d):
+        calls.append(name)
+        if len(calls) > 50:
+            raise _Runaway(calls.count(condition))
+        if name == condition:
+            return SimpleNamespace(is_zero=False)
+        return eval_condition(name, d)
+
+    monkeypatch.setattr(conditions, "eval_condition", stub)
+    monkeypatch.setattr(certificates, "eval_condition", stub)
+    with pytest.raises(GeometryError, match=f"{condition} != 0"):
+        make(random.Random(1))
+    assert calls.count(condition) == 1
+
+
+def test_tilted_kite_evaluates_its_condition_once_per_kite(monkeypatch):
+    # the hull test runs before the exact R_T test, so only the kite
+    # returned is evaluated (876 evaluations when every draw was)
+    calls = []
+
+    def counted(name, d):
+        calls.append(name)
+        return eval_condition(name, d)
+
+    monkeypatch.setattr(conditions, "eval_condition", counted)
+    rng = random.Random(3)
+    for i in range(400):
+        gen_tilted_kite(rng, convex=bool(i % 2))
+    assert calls == ["R_T"] * 400
 
 
 def test_gen_collinear_inorder():
