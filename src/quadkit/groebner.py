@@ -1,6 +1,13 @@
 """Buchberger's algorithm with reduced Groebner bases, elimination ideals and
 ideal/radical membership tests.
 
+Radical membership (f in the radical of I = <gens>) runs under one deadline.
+f reduces to r on the pair loop's unreduced grevlex basis of I; if r or r^2,
+squared on the packed integer terms, reduces to 0, f or f^2 lies in I.  Else
+the Rabinowitsch ideal <I, 1 - t*f> gets the budget left, and only its
+complete reduced basis says False.  It is the unit ideal in both cases, as
+1 = (1 - t*f)(1 + t*f) + t^2*f^2.
+
 All reduction runs through one fraction-free kernel, `_reduce_int`: the
 polynomial being reduced is held with integer coefficients and
 content-stripped as it goes, which keeps the rational blow-up of the
@@ -319,7 +326,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
     unique reduced basis, so it does not depend on the strategy.  As soon
     as any reduction produces a nonzero constant the unit basis {1} is
     returned (sound: the ideal is the whole ring), which is what makes the
-    radical-membership certificates fast.
+    Rabinowitsch ideals of `radical_membership` fast.
     `timeout` (seconds) aborts with GroebnerTimeout.
     """
     if not gens:
@@ -334,13 +341,15 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
         return GroebnerBasis((Polynomial.one(vars0),), order)
     if not live:
         return GroebnerBasis((), order)
-    return _packed(lambda pk: _buchberger(live, vars0, order, pk, deadline),
-                   order, len(vars0))
+    return _packed(lambda pk: _reduce_basis(
+        _buchberger(live, order, pk, deadline), vars0, order, pk, deadline),
+        order, len(vars0))
 
 
-def _buchberger(gens: list[Polynomial], vars0: VarSet, order: MonomialOrder,
-                pk: _Packing, deadline) -> GroebnerBasis:
-    """The pair loop of `buchberger` at one packing."""
+def _buchberger(gens: list[Polynomial], order: MonomialOrder, pk: _Packing,
+                deadline) -> list[_Gen]:
+    """The pair loop of `buchberger` at one packing: an unreduced Groebner
+    basis of <gens>, or [c] as soon as a reduction gives a constant c."""
     basis = [_Gen(_int_terms(g, pk)[0]) for g in gens]
     by_sugar = order.kind in ("lex", "block")
     guard, dguard = pk.guard, pk.dguard
@@ -380,11 +389,10 @@ def _buchberger(gens: list[Polynomial], vars0: VarSet, order: MonomialOrder,
             continue
         g = _Gen(r)
         if g.lt == 0:
-            return GroebnerBasis((Polynomial.one(vars0),), order)
+            return [g]
         basis.append(g)
         push_pairs(len(basis) - 1, s)  # it inherits its pair's sugar
-
-    return _reduce_basis(basis, vars0, order, pk, deadline)
+    return basis
 
 
 def _reduce_basis(basis: list[_Gen], vars0: VarSet, order: MonomialOrder,
@@ -411,15 +419,34 @@ def _reduce_basis(basis: list[_Gen], vars0: VarSet, order: MonomialOrder,
 # derived operations
 # ---------------------------------------------------------------------------
 
+def _power_in(f: Polynomial, gens: Sequence[Polynomial], power: int,
+              deadline) -> bool:
+    """f^k in <gens> for some k <= power (1 or 2): f, or the square of its
+    remainder (f^2 modulo <gens>, and far smaller), reduces to 0 modulo the
+    pair loop's unreduced grevlex basis, as good as any for a zero test."""
+    def run(pk: _Packing) -> bool:
+        basis = _buchberger([g.on_vars(f.vars) for g in gens
+                             if not g.is_zero], GREVLEX, pk, deadline)
+        r, _ = _reduce_int(_int_terms(f, pk)[0], basis, pk, deadline)
+        if not r or power == 1:
+            return not r
+        if (reduce(or_, r) * 2) & pk.guard:
+            raise _Overflow
+        sq: dict = {}
+        for m, c in r.items():
+            _check_deadline(deadline)
+            for m2, c2 in r.items():
+                sq[m + m2] = sq.get(m + m2, 0) + c * c2
+        return not _reduce_int({m: c for m, c in sq.items() if c}, basis,
+                               pk, deadline)[0]
+    return _packed(run, GREVLEX, len(f.vars))
+
+
 def ideal_membership(f: Polynomial, gens: Sequence[Polynomial],
                      timeout: float | None = None) -> bool:
-    """f in <gens>, decided via a grevlex reduced basis and a zero normal
-    form."""
-    live = [g for g in gens if not g.is_zero]
-    if not live:
-        return f.is_zero
-    gb = buchberger(live, GREVLEX, timeout=timeout)
-    return normal_form(f, gb.generators, GREVLEX).is_zero
+    """f in <gens>: its normal form modulo a grevlex Groebner basis is 0."""
+    return _power_in(f, gens, 1, None if timeout is None
+                     else time.monotonic() + timeout)
 
 
 def rabinowitsch(f: Polynomial, gens: Sequence[Polynomial]
@@ -435,10 +462,13 @@ def rabinowitsch(f: Polynomial, gens: Sequence[Polynomial]
 
 def radical_membership(f: Polynomial, gens: Sequence[Polynomial],
                        timeout: float | None = None) -> bool:
-    """f in the radical of <gens>: the grevlex reduced basis of the
-    `rabinowitsch` ideal is {1}."""
-    return buchberger(rabinowitsch(f, gens), GREVLEX,
-                      timeout=timeout).is_unit()
+    """f in the radical of <gens>: f or f^2 lies in <gens>, or else the
+    grevlex reduced basis of the `rabinowitsch` ideal, computed in what is
+    left of `timeout`, is {1}."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+    return _power_in(f, gens, 2, deadline) or buchberger(
+        rabinowitsch(f, gens), GREVLEX, timeout=None if deadline is None
+        else deadline - time.monotonic()).is_unit()
 
 
 def elimination_ideal(gens: Sequence[Polynomial], drop_vars: Collection[str],

@@ -117,6 +117,19 @@ def test_tier1_runs_on_the_scheme_polynomials_it_records(monkeypatch):
         assert cert.status == CERTIFIED
 
 
+def test_tier1_certifies_without_the_rabinowitsch_ideal(monkeypatch):
+    # f or f^2 reduces to 0 on the scheme ideal's own basis, so these claims
+    # never build the slack-variable ideal
+    import quadkit.groebner as groebner
+
+    def refuse(f, gens):
+        raise AssertionError("Rabinowitsch fallback taken")
+
+    monkeypatch.setattr(groebner, "rabinowitsch", refuse)
+    assert cert_converse_ptolemy(samples=0).status == CERTIFIED
+    assert cert_elimination_formula("N_R", samples=0).status == CERTIFIED
+
+
 @pytest.mark.parametrize("mutant", ["quartic_without_P", "quartic_plus_a"])
 def test_false_tier1_fails_the_claim(mutant):
     # a tier 1 that finishes False fails the claim, even with clean samples:

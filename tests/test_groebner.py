@@ -215,6 +215,71 @@ def test_radical_membership_slack_name_fresh():
     assert radical_membership(f, [g])
 
 
+def test_radical_membership_past_the_square_takes_the_fallback(monkeypatch):
+    # x^3 is the least power of x in <x^3>: neither x nor x^2 reduces to 0,
+    # so only the Rabinowitsch basis can say True
+    import quadkit.groebner as groebner
+    slack = []
+    real = groebner.rabinowitsch
+    monkeypatch.setattr(groebner, "rabinowitsch",
+                        lambda f, gens: slack.append(f) or real(f, gens))
+    assert not ideal_membership(_p("x^2"), [_p("x^3")])
+    assert radical_membership(_p("x"), [_p("x^3")])
+    assert slack == [_p("x")]
+    assert radical_membership(_p("x"), [_p("x^2")])
+    assert slack == [_p("x")]
+
+
+def test_radical_membership_matches_the_rabinowitsch_basis():
+    # small random ideals: half of them hold f^k (k = 1, 2, 3) plus a
+    # multiple of another generator, so both verdicts are drawn
+    from quadkit.groebner import rabinowitsch
+    rng = random.Random(2311)
+    seen = set()
+    for k in range(40):
+        V = rng.choice((XY, XYZ))
+        monos = [m for m in itertools.product(range(3), repeat=len(V))
+                 if sum(m) <= 2]
+
+        def draw():
+            return Polynomial(V, {rng.choice(monos): Fraction(
+                rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))})
+        f, gens = draw(), [draw() for _ in range(rng.randint(1, 2))]
+        if k % 2:
+            gens.append(f ** rng.randint(1, 3) + draw() * gens[0])
+        want = buchberger(rabinowitsch(f, gens), GREVLEX).is_unit()
+        assert radical_membership(f, gens) == want, (f, gens)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_radical_membership_fallback_gets_the_budget_left(monkeypatch):
+    # one deadline covers the pair loop, both normal forms and the
+    # Rabinowitsch basis: the fallback is handed what is left of it
+    import time
+
+    import quadkit.groebner as groebner
+    budgets = []
+    real_bb, real_power = groebner.buchberger, groebner._power_in
+
+    def capture(gens, order=GREVLEX, timeout=None):
+        budgets.append(timeout)
+        return real_bb(gens, order, timeout=timeout)
+
+    def slow(*args):
+        time.sleep(0.2)
+        return real_power(*args)
+
+    monkeypatch.setattr(groebner, "buchberger", capture)
+    monkeypatch.setattr(groebner, "_power_in", slow)
+    assert radical_membership(_p("x"), [_p("x^3")], timeout=10)
+    assert radical_membership(_p("x"), [_p("x^3")])
+    assert 0 < budgets[0] <= 9.8 and budgets[1] is None
+    with pytest.raises(GroebnerTimeout):
+        radical_membership(_p("x"), [_p("x^3")], timeout=0.1)
+
+
 # -- packed monomials ---------------------------------------------------------
 
 def test_order_keys_are_additive_and_packing_sorts_like_them():
@@ -260,6 +325,16 @@ def test_exponents_beyond_initial_field_width():
             for t in ("x - y^20000", "x*y^20000 - 1"))
     with pytest.raises(_Overflow):
         _spoly_int(a, b, b.lt, pk.guard)
+
+
+def test_square_beyond_initial_field_width(monkeypatch):
+    # x^20000 fits the kernel's first field width and its square x^40000
+    # does not: the guard restarts the route at a wider field, where the
+    # square reduces to 0 modulo x^30000 with no Rabinowitsch ideal
+    import quadkit.groebner as groebner
+    monkeypatch.setattr(groebner, "rabinowitsch", None)
+    assert radical_membership(_p("x^20000"), [_p("x^30000")])
+    assert not ideal_membership(_p("x^20000"), [_p("x^30000")])
 
 
 def test_groebner_binds_traced_mono_names():
@@ -322,10 +397,12 @@ def test_elimination_bases_hashes_pinned():
 
 def test_pair_selection_reduction_counts(monkeypatch):
     # sugar selection under block orders cuts the S-pair reductions of the
-    # elimination bases below the normal strategy's 226/122/176; the grevlex
-    # radical routes keep the normal strategy and, in the scheme's order with
-    # the y-coordinates above the x-coordinates, take 126 and 146 reductions
-    # (291 and 195 with x above y, so these bounds also guard the order)
+    # elimination bases below the normal strategy's 226/122/176.  The grevlex
+    # radical routes keep the normal strategy and decide both claims on the
+    # scheme ideal's own basis.  In the scheme's order with the y-coordinates
+    # above the x-coordinates N_R takes 76 reductions (112 with x above y, so
+    # that bound also guards the order); converse_ptolemy takes 188 (181 with
+    # x above y), so its bound pins the route, not the order
     import quadkit.groebner as groebner
     from quadkit import certificates
     calls = 0
@@ -349,9 +426,9 @@ def test_pair_selection_reduction_counts(monkeypatch):
         gens = list(getattr(certificates, builder)().generators)
         assert count(lambda: elimination_ideal(
             gens, ("u", "v", "w", "z"))) < normal, builder
-    assert count(lambda: certificates.cert_converse_ptolemy(samples=0)) <= 126
+    assert count(lambda: certificates.cert_converse_ptolemy(samples=0)) <= 188
     assert count(lambda: certificates.cert_elimination_formula(
-        "N_R", timeout=30, samples=0)) <= 146
+        "N_R", timeout=30, samples=0)) <= 76
 
 
 def test_reduced_bases_match_sympy():
