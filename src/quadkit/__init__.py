@@ -8,13 +8,12 @@ from .groebner import (GroebnerBasis, GroebnerTimeout, buchberger,
 from .radicals import (RadicalValue, rad_sqrt, sqrt_rational,
                        squarefree_decompose)
 from .geometry import (DistSextuple, HullClass, Point, QuadConfig,
-                       SignedAreas, cayley_menger, classify_hull,
-                       cocircularity, config_from_obj, config_svg,
-                       config_to_obj, gen_cyclic, gen_folded, gen_reflected,
-                       gen_tilted_kite, midpoint_distances, random_quad,
-                       reflect_over_line, signed_areas)
+                       cayley_menger, classify_hull, cocircularity,
+                       config_from_obj, config_svg, config_to_obj, gen_cyclic,
+                       gen_folded, gen_reflected, gen_tilted_kite,
+                       midpoint_distances, random_quad, reflect_over_line)
 from .conditions import (CONDITION_NAMES, IDENTITY_NAMES, condition_poly,
-                         condition_sign, eval_condition, midpoint_v_formulas,
+                         eval_condition, midpoint_v_formulas,
                          verify_all_identities, verify_identity)
 from .certificates import (CLAIMS, Certificate, run_certificates)
 

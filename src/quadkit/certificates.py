@@ -25,10 +25,11 @@ from . import geometry
 from .conditions import (DIST_VARS, condition_poly, eval_condition,
                          eval_poly_on_sextuple)
 from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, Point, QuadConfig,
-                       classify_hull, cocircularity, gen_collinear_inorder,
-                       gen_cyclic, gen_folded, gen_tilted_kite,
-                       hull_from_signs, hull_table, random_quad,
-                       reflect_over_line, same_cycle)
+                       classify_hull, cocircularity, cross,
+                       gen_collinear_inorder, gen_cyclic, gen_folded,
+                       gen_tilted_kite, hull_from_signs, hull_table,
+                       lift_rows, random_quad, reflect_over_line, same_cycle,
+                       sq_dist)
 from .groebner import GroebnerTimeout, radical_membership
 from .poly import GREVLEX, Polynomial, VarSet, det
 
@@ -153,18 +154,10 @@ class CoordinateScheme:
     family: str
 
     def area2(self, tri: str) -> Polynomial:
-        one = Polynomial.one(self.vars)
-        rows = [[self.placement[v][0], self.placement[v][1], one]
-                for v in tri]
-        return det(rows)
+        return cross(*map(self.placement.get, tri))
 
     def cocircle(self) -> Polynomial:
-        one = Polynomial.one(self.vars)
-        rows = []
-        for v in "ABCD":
-            x, y = self.placement[v]
-            rows.append([x * x + y * y, x, y, one])
-        return det(rows)
+        return det(lift_rows(map(self.placement.get, "ABCD")))
 
     def ideal(self, *extra: Polynomial) -> list[Polynomial]:
         """The generators, then each extra polynomial on the scheme's
@@ -188,15 +181,13 @@ _SCHEMES = {
 @lru_cache(maxsize=None)
 def _scheme(constraint: str) -> CoordinateScheme:
     """The scheme of a constraint's row: the distance x joining P and Q
-    (`DIST_PAIRS`) gives the generator (px-qx)^2 + (py-qy)^2 - x^2."""
+    (`DIST_PAIRS`) gives the generator |PQ|^2 - x^2."""
     name, coords, free, family = _SCHEMES[constraint]
     var = dict(zip(_SCHEME_VARS, Polynomial.variables(_SCHEME_VARS)))
     var["0"] = Polynomial.zero(_SCHEME_VARS)
     place = {v: (var[x], var[y]) for v, (x, y) in zip("ABCD", coords)}
-    gens = []
-    for x in free:
-        (px, py), (qx, qy) = map(place.get, DIST_PAIRS[DIST_VARS.index(x)])
-        gens.append((px - qx) ** 2 + (py - qy) ** 2 - var[x] ** 2)
+    gens = [sq_dist(*map(place.get, DIST_PAIRS[DIST_VARS.index(x)]))
+            - var[x] ** 2 for x in free]
     return CoordinateScheme(name, _SCHEME_VARS, place, tuple(gens), family)
 
 
@@ -820,6 +811,7 @@ def cert_hull_tables(seed: int = 0, samples: int = 100000,
                 span = 8 if i % 3 == 0 else 40
                 _, ints = geometry._draw_quad(rng, span, 3 if i % 2 else 1)
             ax, ay, bx, by, cx, cy, dx, dy = ints
+            # `cross` written out: a call per triangle doubles this loop
             crosses = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
                        (bx - ax) * (dy - ay) - (by - ay) * (dx - ax),
                        (cx - bx) * (dy - by) - (cy - by) * (dx - bx),

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .geometry import DistSextuple, cayley_menger
+from .geometry import DistSextuple, cayley_menger, cm_rows
 from .poly import Polynomial, VarSet, det
 from .radicals import (RadicalValue, rad_sqrt, sqrt_rational,
                        squarefree_decompose)
@@ -33,20 +33,6 @@ IDENTITY_NAMES = ("I1", "I2", "I3", "IT", "IT_S1", "IT_S2",
 
 def _pp(text: str) -> Polynomial:
     return Polynomial.parse(text, DIST_VARS)
-
-
-def _cm_polynomial() -> Polynomial:
-    a, b, c, d, e, f = Polynomial.variables(DIST_VARS)
-    one = Polynomial.one(DIST_VARS)
-    zero = Polynomial.zero(DIST_VARS)
-    rows = [
-        [zero, one, one, one, one],
-        [one, zero, a * a, e * e, d * d],
-        [one, a * a, zero, b * b, f * f],
-        [one, e * e, b * b, zero, c * c],
-        [one, d * d, f * f, c * c, zero],
-    ]
-    return det(rows)
 
 
 @lru_cache(maxsize=1)
@@ -73,7 +59,7 @@ def _conditions() -> dict[str, Polynomial]:
         "K_G": _pp("(a*f - c*e)*d^2 + c*e*(a^2 + f^2) - (c^2 + e^2)*a*f"),
         "Q_G": _pp("-a*c + b*d + e*f"),
         "R_G": _pp("(a^2 - b^2 + c^2 - d^2 + e^2 + f^2)*d^2 - (a*e - c*f)^2"),
-        "CM": _cm_polynomial(),
+        "CM": det(cm_rows(*(x * x for x in Polynomial.variables(DIST_VARS)))),
     }
     assert tuple(table) == CONDITION_NAMES
     return table
@@ -210,10 +196,6 @@ def eval_poly_on_sextuple(p: Polynomial, d: DistSextuple) -> RadicalValue:
 def eval_condition(id: str, d: DistSextuple) -> RadicalValue:
     """Exact value of a named condition at the sextuple's distances."""
     return eval_poly_on_sextuple(condition_poly(id), d)
-
-
-def condition_sign(id: str, d: DistSextuple) -> int:
-    return eval_condition(id, d).sign()
 
 
 # ---------------------------------------------------------------------------

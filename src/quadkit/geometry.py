@@ -1,6 +1,9 @@
 """Planar four-point configurations with exact rational coordinates.
 
-Signed areas, the sign-table hull classifier, Cayley-Menger and cocircularity
+The witness formulas (doubled signed area, squared distance, lifting and
+Cayley-Menger rows), each written once over any commutative ring, so that the
+integer points here and the polynomial placements of `certificates` share
+them; the sign-table hull classifier, Cayley-Menger and cocircularity
 determinants, midpoint-distance identities, reflections, and seeded generators
 for the configuration families (cyclic, folded, tilted kite, reflected).  The
 generators are constructive: rational points on the unit circle, reflected
@@ -61,6 +64,36 @@ class Point:
 
     def __iter__(self):
         return iter((self.x, self.y))
+
+
+# ---------------------------------------------------------------------------
+# witnesses, over any commutative ring: a point is an (x, y) pair of ints,
+# Fractions or Polynomials
+# ---------------------------------------------------------------------------
+
+def cross(p, q, r):
+    """Twice the signed area of the triangle pqr (counterclockwise > 0)."""
+    (px, py), (qx, qy), (rx, ry) = p, q, r
+    return (qx - px) * (ry - py) - (qy - py) * (rx - px)
+
+
+def sq_dist(p, q):
+    """The squared distance between p and q."""
+    (px, py), (qx, qy) = p, q
+    return (px - qx) ** 2 + (py - qy) ** 2
+
+
+def lift_rows(points) -> list[list]:
+    """The rows [x^2 + y^2, x, y, 1] of four points: their determinant is 0
+    iff the points lie on one circle or line."""
+    return [[x * x + y * y, x, y, 1] for x, y in points]
+
+
+def cm_rows(qa, qb, qc, qd, qe, qf) -> list[list]:
+    """The 5x5 Cayley-Menger matrix of the squared distances |AB|^2, |BC|^2,
+    |CD|^2, |DA|^2, |AC|^2, |BD|^2."""
+    return [[0, 1, 1, 1, 1], [1, 0, qa, qe, qd], [1, qa, 0, qb, qf],
+            [1, qe, qb, 0, qc], [1, qd, qf, qc, 0]]
 
 
 # the vertex pair of each distance a..f, and the squared distances' names
@@ -128,8 +161,7 @@ class QuadConfig:
         """Twice the signed area of three labeled vertices, e.g. "ABC", on
         the integer points: int_scale**2 times the true value."""
         pts = self.int_points
-        (px, py), (qx, qy), (rx, ry) = pts[tri[0]], pts[tri[1]], pts[tri[2]]
-        return (qx - px) * (ry - py) - (qy - py) * (rx - px)
+        return cross(pts[tri[0]], pts[tri[1]], pts[tri[2]])
 
     def orient(self, tri: str) -> int:
         """The sign of `cross` (+1 counterclockwise)."""
@@ -141,34 +173,13 @@ class QuadConfig:
 
     def sextuple(self) -> DistSextuple:
         pts, s2 = self.int_points, self.int_scale ** 2
-        return DistSextuple(*(
-            Fraction((pts[u][0] - pts[v][0]) ** 2
-                     + (pts[u][1] - pts[v][1]) ** 2, s2)
-            for u, v in DIST_PAIRS))
+        return DistSextuple(*(Fraction(sq_dist(pts[u], pts[v]), s2)
+                              for u, v in DIST_PAIRS))
 
     def replace(self, label: str, p: Point) -> "QuadConfig":
         parts = {"A": self.A, "B": self.B, "C": self.C, "D": self.D}
         parts[label] = p
         return QuadConfig(**parts)
-
-
-@dataclass(frozen=True)
-class SignedAreas:
-    """Twice the signed areas of ABC, ABD, BCD, ACD (counterclockwise > 0)."""
-
-    abc: Fraction
-    abd: Fraction
-    bcd: Fraction
-    acd: Fraction
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.abc, self.abd, self.bcd, self.acd)
-
-
-def signed_areas(cfg: QuadConfig) -> SignedAreas:
-    s2 = cfg.int_scale ** 2
-    return SignedAreas(*(Fraction(cfg.cross(tri), s2)
-                         for tri in TRIANGLES))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +233,7 @@ _HULL_TABLE: dict[tuple[int, int, int, int], tuple[str, str]] = {
 # the mirror rows: a reflection flips every sign and reverses each hull
 _HULL_TABLE |= {tuple(-s for s in signs): (kind, tri[0] + tri[:0:-1])
                 for signs, (kind, tri) in _HULL_TABLE.items()}
-TRIANGLES = ("ABC", "ABD", "BCD", "ACD")  # SignedAreas and sign-row order
+TRIANGLES = ("ABC", "ABD", "BCD", "ACD")  # sign-row order
 
 
 def hull_table() -> dict[tuple[int, int, int, int], tuple[str, str]]:
@@ -268,9 +279,7 @@ def cayley_menger(d: DistSextuple) -> Fraction:
     denominators, and divides by L**3."""
     qs = d.as_tuple()
     L = lcm(*(q.denominator for q in qs))
-    qa, qb, qc, qd, qe, qf = (q.numerator * (L // q.denominator) for q in qs)
-    rows = [[0, 1, 1, 1, 1], [1, 0, qa, qe, qd], [1, qa, 0, qb, qf],
-            [1, qe, qb, 0, qc], [1, qd, qf, qc, 0]]
+    rows = cm_rows(*(q.numerator * (L // q.denominator) for q in qs))
     return Fraction(det(rows), L ** 3)
 
 
@@ -278,8 +287,8 @@ def cocircularity(cfg: QuadConfig) -> Fraction:
     """4x4 lifting determinant; 0 iff A, B, C, D lie on one circle or line.
     On the integer points its columns scale by int_scale**2, int_scale,
     int_scale and 1, so the true value is the integer one over int_scale**4."""
-    rows = [[x * x + y * y, x, y, 1] for x, y in cfg.int_points.values()]
-    return Fraction(det(rows), cfg.int_scale ** 4)
+    return Fraction(det(lift_rows(cfg.int_points.values())),
+                    cfg.int_scale ** 4)
 
 
 def midpoint_distances(d: DistSextuple) -> tuple[Fraction, Fraction, Fraction]:
@@ -312,7 +321,7 @@ def reflect_over_line(cfg: QuadConfig, vertex: str,
         raise GeometryError(
             f"vertex must be A/B/C/D, not {exc.args[0]!r}") from None
     nx, ny = ay - by, bx - ax
-    nn = nx * nx + ny * ny
+    nn = sq_dist((ax, ay), (bx, by))  # n.n
     if nn == 0:
         raise GeometryError("line endpoints coincide")
     k, den = 2 * ((px - ax) * nx + (py - ay) * ny), nn * cfg.int_scale

@@ -230,11 +230,6 @@ class Polynomial:
         return not self.terms or (len(self.terms) == 1
                                   and not any(next(iter(self.terms))))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def leading_monomial(self, order: MonomialOrder) -> Mono:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")

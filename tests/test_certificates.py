@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import signal
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -18,9 +19,10 @@ from quadkit.certificates import (CERTIFIED, CLAIMS, FAILED, INCONCLUSIVE,
                                   ELIM_TARGETS, _hulls_agree, _status, _tally,
                                   oracle_hull, ptolemy_scheme, r_scheme,
                                   run_certificates, t_scheme)
-from quadkit.conditions import condition_poly
-from quadkit.geometry import (HullClass, QuadConfig, classify_hull,
-                              config_to_obj, hull_from_signs, random_quad)
+from quadkit.conditions import DIST_VARS, condition_poly
+from quadkit.geometry import (TRIANGLES, HullClass, Point, QuadConfig,
+                              classify_hull, cocircularity, config_to_obj,
+                              hull_from_signs, random_quad)
 from quadkit.poly import GREVLEX, Polynomial
 from quadkit.radicals import RadicalValue
 
@@ -67,7 +69,7 @@ def test_schemes_have_expected_generators():
 def test_scheme_cocircle_quartic_shape():
     q = ptolemy_scheme().cocircle()
     # quartic, and the a*v^2*z coefficient is +1
-    assert q.total_degree() == 4
+    assert max(sum(m) for m in q.terms) == 4
     vars_ = ptolemy_scheme().vars
     idx = {n: i for i, n in enumerate(vars_.names)}
     mono = [0] * len(vars_)
@@ -79,6 +81,38 @@ def test_scheme_cocircle_quartic_shape():
     cert = cert_converse_ptolemy(seed=5, timeout=0, samples=1)
     assert cert.notes == [("cocircularity quartic derived from the 4x4 "
                            f"lifting determinant: {q.to_text(GREVLEX)}")]
+
+
+def test_symbolic_witnesses_agree_with_integer_ones():
+    # each scheme's placement at seeded rational values: its doubled areas,
+    # cocircle quartic and generators there equal the integer witnesses of
+    # the configuration placed
+    rng = random.Random(24)
+    for scheme in (ptolemy_scheme(), r_scheme(), t_scheme()):
+        squares = {v: Polynomial.variable(scheme.vars, v) ** 2
+                   for v in DIST_VARS}
+        quartic = scheme.cocircle()
+        checked = 0
+        while checked < 20:
+            values = {n: Fraction(rng.randint(1 if n in DIST_VARS else -30,
+                                              30), rng.randint(1, 6))
+                      for n in scheme.vars}
+            cfg = QuadConfig(*(Point(x.evaluate(values), y.evaluate(values))
+                               for x, y in scheme.placement.values()))
+            if not cfg.distinct():
+                continue
+            checked += 1
+            for tri in TRIANGLES:
+                assert scheme.area2(tri).evaluate(values) == Fraction(
+                    cfg.cross(tri), cfg.int_scale ** 2), (scheme.name, tri)
+            assert quartic.evaluate(values) == cocircularity(cfg)
+            d = cfg.sextuple().as_tuple()
+            for g in scheme.generators:
+                # g = |PQ|^2 - x^2 for the one distance x of a -x^2 term
+                (x,) = [v for v, sq in squares.items()
+                        if g.terms.get(next(iter(sq.terms))) == -1]
+                assert (g + squares[x]).evaluate(values) == \
+                    d[DIST_VARS.index(x)], (scheme.name, x)
 
 
 def test_converse_ptolemy_certified():
@@ -191,13 +225,11 @@ def test_elimination_tier2_only_when_budget_zero():
 def test_closed_form_on_34_rectangle():
     # N = dABC * dACD = 12 * 12 on the 3-4 rectangle; the closed form gives
     # 144*6*8*6*8 / (4*24^2) = 144 as well
-    from fractions import Fraction
     from quadkit.certificates import _elim_targets
     from quadkit.conditions import eval_poly_on_sextuple
-    from quadkit.geometry import signed_areas
     rect = QuadConfig.of((0, 0), (4, 0), (4, 3), (0, 3))
-    ar = signed_areas(rect)
-    n_val = ar.abc * ar.acd
+    s2 = rect.int_scale ** 2
+    n_val = Fraction(rect.cross("ABC"), s2) * Fraction(rect.cross("ACD"), s2)
     assert n_val == 144
     _, lhs, rhs = _elim_targets()["N_ptolemy"]
     d = rect.sextuple()

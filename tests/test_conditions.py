@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from quadkit import conditions, radicals
 from quadkit.certificates import _elim_targets
 from quadkit.conditions import (CONDITION_NAMES, DIST_VARS,
-                                condition_poly, condition_sign,
-                                eval_condition, eval_poly_on_sextuple,
-                                identity_poly, midpoint_v_formulas,
+                                condition_poly, eval_condition,
+                                eval_poly_on_sextuple, identity_poly,
+                                midpoint_v_formulas,
                                 run_self_check, verify_all_identities,
                                 verify_identity)
 from quadkit.geometry import (DistSextuple, QuadConfig, gen_cyclic,
@@ -99,8 +99,8 @@ def test_eval_condition_irrational_values():
 
 def test_condition_sign_trichotomy_on_cyclic():
     d = gen_cyclic(77).sextuple()
-    assert condition_sign("P", d) == 0
-    assert condition_sign("Q", d) == 1
+    assert eval_condition("P", d).sign() == 0
+    assert eval_condition("Q", d).sign() == 1
 
 
 def test_supplementary_witness():
@@ -169,7 +169,8 @@ def test_midpoint_v_formulas_reject_cyclic():
 def test_ptolemy_equality_and_inequality():
     # P = 0 on sequential cyclic configs, P > 0 off-circle (planar)
     for seed in range(15):
-        assert condition_sign("P", gen_cyclic(seed, "ABCD").sextuple()) == 0
+        assert eval_condition("P", gen_cyclic(seed, "ABCD").sextuple()).sign() \
+            == 0
     rng = random.Random(21)
     checked = 0
     from quadkit.geometry import cocircularity
@@ -177,7 +178,7 @@ def test_ptolemy_equality_and_inequality():
         cfg = random_quad(rng)
         if cocircularity(cfg) == 0:
             continue
-        assert condition_sign("P", cfg.sextuple()) == 1
+        assert eval_condition("P", cfg.sextuple()).sign() == 1
         checked += 1
 
 

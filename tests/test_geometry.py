@@ -16,7 +16,7 @@ from quadkit.certificates import (_degenerate_families, _hulls_agree,
                                   oracle_hull)
 from quadkit.conditions import eval_condition
 from quadkit.geometry import (DistSextuple, GeometryError, HullClass,
-                              HullTableError, Point, QuadConfig,
+                              HullTableError, Point, QuadConfig, TRIANGLES,
                               cayley_menger, classify_hull,
                               cocircularity, config_from_obj, config_svg,
                               config_to_obj, gen_collinear_inorder,
@@ -24,7 +24,7 @@ from quadkit.geometry import (DistSextuple, GeometryError, HullClass,
                               gen_tilted_kite, hull_from_signs, hull_table,
                               midpoint_distances, random_quad,
                               reflect_over_line, same_cycle,
-                              sextuple_from_obj, sextuple_to_obj, signed_areas,
+                              sextuple_from_obj, sextuple_to_obj,
                               unit_circle_point)
 from quadkit.poly import Polynomial, VarSet, det
 
@@ -43,26 +43,29 @@ def sqdist(p, q):
 
 # -- signed areas -------------------------------------------------------------
 
+def _areas(cfg):
+    # twice the signed areas of ABC, ABD, BCD, ACD at the true coordinates
+    return tuple(Fraction(cfg.cross(t), cfg.int_scale ** 2) for t in TRIANGLES)
+
+
 def test_signed_areas_square():
-    ar = signed_areas(SQUARE)
-    assert ar.as_tuple() == (1, 1, 1, 1)
+    assert _areas(SQUARE) == (1, 1, 1, 1)
 
 
 def test_signed_areas_collinear_triple():
     cfg = QuadConfig.of((0, 0), (1, 0), (2, 0), (5, 7))
-    assert signed_areas(cfg).abc == 0
+    assert _areas(cfg)[0] == 0
 
 
 def test_signed_areas_concave_example():
-    ar = signed_areas(CONCAVE)
-    assert ar.acd == Fraction(-3, 2)
+    assert _areas(CONCAVE)[3] == Fraction(-3, 2)
 
 
 def test_cofactor_identity_on_random_configs():
     rng = random.Random(2)
     for _ in range(200):
-        ar = signed_areas(random_quad(rng))
-        assert ar.abc - ar.abd + ar.acd - ar.bcd == 0
+        abc, abd, bcd, acd = _areas(random_quad(rng))
+        assert abc - abd + acd - bcd == 0
 
 
 # -- hull classification ------------------------------------------------------
@@ -182,11 +185,11 @@ def test_convex_iff_coupled_sign_products():
     rng = random.Random(10)
     for _ in range(300):
         cfg = random_quad(rng)
-        ar = signed_areas(cfg)
-        if 0 in ar.as_tuple():
+        abc, abd, bcd, acd = _areas(cfg)
+        if 0 in (abc, abd, bcd, acd):
             continue
-        n = ar.abc * ar.acd
-        m = ar.abd * ar.bcd
+        n = abc * acd
+        m = abd * bcd
         convex = classify_hull(cfg).is_convex
         assert convex == ((n > 0 and m > 0) or (n < 0 and m < 0))
 
@@ -537,7 +540,7 @@ def test_gen_tilted_kite_reflection_construction():
             assert hull.is_convex
         else:
             assert hull.kind == "concave3" and hull.interior in ("B", "D")
-        orders.add(signed_areas(kite).abd > 0)
+        orders.add(_areas(kite)[1] > 0)
     assert orders == {True, False}
     assert elapsed < 2.0
 
