@@ -643,8 +643,9 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
     meet.  A draw counts when B and D lie on the same side of A along A's
     lines, and of C along C's: reversing both rays at a vertex keeps the angle
     between them.  The construction makes K_T vanish, so on the plane
-    P_T * Q_T * R_T = K_T**2 = 0: an exact zero test of R_T rejects the
-    cyclic draws, and K_T is asserted once on the kite returned.
+    P_T * Q_T * R_T = K_T**2 = 0: with A and C on one side of BD the draw is
+    cyclic (P_T * Q_T = 0), so an integer side test rejects it, and K_T and
+    then R_T are asserted once on the kite returned.
     Directions are integer triples (x, y, w) for (x/w, y/w), w > 0, so a
     draw builds no Fraction until it passes the side tests."""
     want = "convex4" if convex else "concave3"
@@ -671,13 +672,13 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
                       Fraction(-cn * qy * ay, cd * den))
                 for ax, ay, qy, den in lines)
         cfg = QuadConfig(A, B, Point(Fraction(cn, cd), Fraction(0)), D)
-        if not cfg.distinct() or classify_hull(cfg).kind != want:
+        if (not cfg.distinct() or classify_hull(cfg).kind != want
+                or cfg.cross("BDA") * cfg.cross("BDC") >= 0):
             continue
         d = cfg.sextuple()
-        if not eval_condition("R_T", d).is_zero:
-            continue
-        if not eval_condition("K_T", d).is_zero:
-            raise geometry.GeometryError("ray-pair kite has K_T != 0")
+        for name in ("K_T", "R_T"):
+            if not eval_condition(name, d).is_zero:
+                raise geometry.GeometryError(f"ray-pair kite has {name} != 0")
         return cfg
 
 

@@ -44,7 +44,7 @@ def _read_input(path: str):
         return json.loads(text)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"malformed JSON input: {exc}") from exc
 
 

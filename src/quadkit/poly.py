@@ -10,13 +10,15 @@ single ints internally (see `groebner`).
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Mono = tuple  # exponent tuple, one nonnegative int per variable
 
 
+@dataclass(frozen=True, slots=True)
 class VarSet:
     """Ordered set of distinct variable names.
 
@@ -24,10 +26,10 @@ class VarSet:
     is fixed per ideal and shared by every polynomial in it.
     """
 
-    __slots__ = ("names", "_index")
+    names: tuple[str, ...]
 
-    def __init__(self, names: Iterable[str]):
-        names = tuple(names)
+    def __post_init__(self):
+        names = tuple(self.names)
         if not names:
             raise ValueError("VarSet needs at least one variable")
         if len(set(names)) != len(names):
@@ -35,13 +37,12 @@ class VarSet:
         for n in names:
             if not n or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", n):
                 raise ValueError(f"bad variable name: {n!r}")
-        self.names = names
-        self._index = {n: i for i, n in enumerate(names)}
+        object.__setattr__(self, "names", names)
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise ValueError(f"unknown variable {name!r} in {self.names}") from None
 
     def extend(self, *extra: str) -> "VarSet":
@@ -50,7 +51,7 @@ class VarSet:
     def fresh_name(self, base: str) -> str:
         """A name not already in the set (for slack variables)."""
         name = base
-        while name in self._index:
+        while name in self.names:
             name += "_"
         return name
 
@@ -61,16 +62,7 @@ class VarSet:
         return iter(self.names)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._index
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, VarSet) and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
-
-    def __repr__(self) -> str:
-        return f"VarSet({','.join(self.names)})"
+        return name in self.names
 
 
 # -- monomial helpers (exponent tuples) --------------------------------------
@@ -89,6 +81,7 @@ def mono_lcm(m1: Mono, m2: Mono) -> Mono:
     return tuple(a if a > b else b for a, b in zip(m1, m2))
 
 
+@dataclass(frozen=True, slots=True)
 class MonomialOrder:
     """A monomial order: total, multiplicative, with 1 minimal.
 
@@ -97,18 +90,17 @@ class MonomialOrder:
     """
 
     KINDS = ("lex", "grlex", "grevlex", "block")
-    __slots__ = ("kind", "split")
+    kind: str
+    split: int | None = None
 
-    def __init__(self, kind: str, split: int | None = None):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown monomial order kind {kind!r}")
-        if kind == "block":
-            if not isinstance(split, int) or split < 1:
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown monomial order kind {self.kind!r}")
+        if self.kind == "block":
+            if not isinstance(self.split, int) or self.split < 1:
                 raise ValueError("block order needs a positive split index")
-        elif split is not None:
+        elif self.split is not None:
             raise ValueError("split only applies to block orders")
-        self.kind = kind
-        self.split = split
 
     @classmethod
     def lex(cls) -> "MonomialOrder":
@@ -146,22 +138,49 @@ class MonomialOrder:
             return f"block({self.split}|grevlex,grevlex)"
         return self.kind
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.split == other.split
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.split))
-
-    def __repr__(self) -> str:
-        return f"MonomialOrder({self.name})"
-
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
+
+
+# -- sparse sums {key: nonzero Fraction}, shared with radicals ---------------
+
+def add_terms(a: Mapping, b: Mapping, negate: bool = False) -> dict:
+    """The sparse sum a + b (a - b when `negate`), zero coefficients dropped."""
+    res = dict(a)
+    for k, c in b.items():
+        s = res.get(k)
+        if s is None:
+            res[k] = -c if negate else c
+        else:
+            s = s - c if negate else s + c
+            if s:
+                res[k] = s
+            else:
+                del res[k]
+    return res
+
+
+def power(x, n: int, one):
+    """x**n for an int n >= 0 by square-and-multiply; `one` is x's ring one."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+def sum_hash(terms: Mapping, unit) -> int:
+    """Hash of a sparse sum; one equal to a scalar (no key, or `unit` alone)
+    hashes like that scalar, as it compares equal to it."""
+    if not terms:
+        return hash(0)
+    if len(terms) == 1 and unit in terms:
+        return hash(terms[unit])
+    return hash(frozenset(terms.items()))
 
 
 class Polynomial:
@@ -259,18 +278,8 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m)
-            if s is None:
-                res[m] = c
-            else:
-                s = s + c
-                if s:
-                    res[m] = s
-                else:
-                    del res[m]
-        return Polynomial(self.vars, res, _clean=False)
+        terms = add_terms(self.terms, other.terms)
+        return Polynomial(self.vars, terms, _clean=False)
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
@@ -283,7 +292,8 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = add_terms(self.terms, other.terms, negate=True)
+        return Polynomial(self.vars, terms, _clean=False)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self).__add__(other)
@@ -320,14 +330,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative int")
-        result = Polynomial.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, Polynomial.one(self.vars))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -337,7 +340,7 @@ class Polynomial:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        return sum_hash(self.terms, (0,) * len(self.vars))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

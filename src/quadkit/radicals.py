@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm, prod
+from .poly import add_terms, power, sum_hash
+
 _SIGN_PREC_START = 64
 _SIGN_PREC_CAP = 65536
 _RHO_STEPS = 1 << 18
@@ -252,18 +254,8 @@ class RadicalValue:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        res = dict(self._coords)
-        for s, c in other._coords.items():
-            v = res.get(s)
-            if v is None:
-                res[s] = c
-            else:
-                v = v + c
-                if v:
-                    res[s] = v
-                else:
-                    del res[s]
-        return RadicalValue(res, _normalized=True)
+        return RadicalValue(add_terms(self._coords, other._coords),
+                            _normalized=True)
 
     __radd__ = __add__
 
@@ -275,7 +267,8 @@ class RadicalValue:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return RadicalValue(add_terms(self._coords, other._coords, negate=True),
+                            _normalized=True)
 
     def __rsub__(self, other) -> "RadicalValue":
         return (-self) + other
@@ -306,17 +299,7 @@ class RadicalValue:
     def __pow__(self, n: int) -> "RadicalValue":
         if not isinstance(n, int):
             raise TypeError("exponent must be int")
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = RadicalValue.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self.inverse(), -n, ONE) if n < 0 else power(self, n, ONE)
 
     def inverse(self) -> "RadicalValue":
         """Multiplicative inverse by conjugating one prime at a time."""
@@ -358,10 +341,7 @@ class RadicalValue:
         return self._coords == o._coords
 
     def __hash__(self) -> int:
-        # a rational value equals its Fraction, so it must hash like one
-        if self.is_rational():
-            return hash(self.rational_part())
-        return hash(frozenset(self._coords.items()))
+        return sum_hash(self._coords, 1)
 
     # -- sign -------------------------------------------------------------------
 
@@ -452,6 +432,7 @@ class RadicalValue:
 
 
 ZERO = RadicalValue.from_rational(0)
+ONE = RadicalValue.from_rational(1)
 
 
 def sqrt_rational(q) -> RadicalValue:

@@ -130,6 +130,12 @@ def test_classify_rejects_bad_json(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["classify", str(path)]) == 1
     assert main(["classify", str(tmp_path / "missing.json")]) == 1
+    # nesting deeper than the recursion limit of the JSON decoder
+    path.write_text("[" * 200000, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_identities(capsys):

@@ -554,13 +554,15 @@ class _Runaway(Exception):
     (gen_reflected, "R_T"),
     (lambda rng: gen_tilted_kite(rng, convex=False), "R_T"),
     (lambda rng: certificates._ray_kite(rng, convex=True), "K_T"),
-], ids=["folded", "reflected", "tilted_kite", "ray_kite"])
+    (lambda rng: certificates._ray_kite(rng, convex=True), "R_T"),
+], ids=["folded", "reflected", "tilted_kite", "ray_kite", "ray_kite_R_T"])
 def test_broken_construction_raises_on_first_accepted_draw(monkeypatch, make,
                                                            condition):
-    # the family's condition is stubbed never to vanish (the ray kite's R_T
-    # filter still sees the true value): the generator must raise on the
-    # first draw its integer tests accept, and not draw again; the sentinel
-    # after 50 evaluations stops a generator that would loop forever
+    # the family's condition is stubbed never to vanish (the ray kite's
+    # other asserted condition still sees the true value): the generator
+    # must raise on the first draw its integer tests accept, and not draw
+    # again; the sentinel after 50 evaluations stops a generator that would
+    # loop forever
     calls = []
 
     def stub(name, d):

@@ -69,6 +69,28 @@ def test_pow_and_scalar_ops():
         x ** -1
 
 
+def test_hash_agrees_with_equality():
+    # a constant polynomial equals its scalar, so it hashes like it, over
+    # any VarSet; equal non-constant polynomials still hash alike
+    for vars in (XY, ABCDEF):
+        three = Polynomial.const(vars, 3)
+        half = Polynomial.const(vars, Fraction(1, 2))
+        zero = Polynomial.zero(vars)
+        x = Polynomial.variable(vars, vars.names[0])
+        for value, plain in ((three, 3), (three, Fraction(6, 2)),
+                             (half, Fraction(1, 2)), (zero, 0),
+                             (zero, Fraction(0)), (x - x, 0),
+                             ((x + 3) - x, 3)):
+            assert value == plain
+            assert hash(value) == hash(plain)
+            assert plain in {value}
+            assert value in {plain}
+        assert {3: "c"}[three] == "c"
+        assert (x + 1) ** 2 == x * x + 2 * x + 1
+        assert hash((x + 1) ** 2) == hash(x * x + 2 * x + 1)
+        assert x ** 2 + 1 in {1 + x * x}
+
+
 def test_leading_monomials_per_order():
     # x^2*y vs x*y^2 vs y^3: grevlex and grlex tie-break differently from lex
     p = Polynomial.parse("x*y^2 + x^2*y + y^3 + x", XY)
