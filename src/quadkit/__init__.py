@@ -5,8 +5,7 @@ from .poly import GREVLEX, LEX, MonomialOrder, Polynomial, VarSet, det
 from .groebner import (GroebnerBasis, GroebnerTimeout, buchberger,
                        divmod_multi, elimination_ideal, ideal_membership,
                        normal_form, radical_membership, s_polynomial)
-from .radicals import (RadicalValue, rad_sqrt, sqrt_rational,
-                       squarefree_decompose)
+from .radicals import RadicalValue, sqrt_rational, squarefree_decompose
 from .geometry import (DistSextuple, HullClass, Point, QuadConfig,
                        cayley_menger, classify_hull, cocircularity,
                        config_from_obj, config_svg, config_to_obj, gen_cyclic,

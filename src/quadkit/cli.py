@@ -2,9 +2,10 @@
 render-svg.
 
 Exit codes: 0 success (and no FAILED certificate), 1 input error, 2 at least
-one certificate FAILED.  All JSON output is key-sorted; rationals are printed
-as "p/q" strings, never floats, so same seed + same command means
-byte-identical output for the deterministic commands.
+one certificate FAILED, 141 (128 + SIGPIPE) if the reader closes the output
+pipe early.  All JSON output is key-sorted; rationals are printed as "p/q"
+strings, never floats, so same seed + same command means byte-identical
+output for the deterministic commands.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -261,10 +263,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return status
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the shutdown flush then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

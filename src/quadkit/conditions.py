@@ -16,10 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .geometry import DistSextuple, cayley_menger, cm_rows
+from .geometry import DistSextuple, cayley_menger, cm_rows, midpoint_distances
 from .poly import Polynomial, VarSet, det
-from .radicals import (RadicalValue, rad_sqrt, sqrt_rational,
-                       squarefree_decompose)
+from .radicals import RadicalValue, sqrt_rational, squarefree_decompose
 
 DIST_VARS = VarSet(("a", "b", "c", "d", "e", "f"))
 
@@ -204,23 +203,23 @@ def eval_condition(id: str, d: DistSextuple) -> RadicalValue:
 
 def midpoint_v_formulas(d: DistSextuple) -> tuple[RadicalValue, RadicalValue]:
     """Both closed forms for the distance v between the midpoints of AC and
-    BD on the R = 0 family: (bc+ad)/(2e), and the diagonal-free
-    (1/2)sqrt((bc+ad)(ab+cd)/(ac+bd)).  Raises if R != 0."""
+    BD on the R = 0 family, (bc+ad)/(2e) and the diagonal-free
+    (1/2)sqrt((bc+ad)(ab+cd)/(ac+bd)), checked multiplied out against the
+    rational v^2 of `midpoint_distances`: (bc+ad)^2 - 4e^2*v^2 is R, and
+    4v^2*(ac+bd) = (bc+ad)(ab+cd) holds on R = 0 iff K = 0, so on every
+    planar input (I3).  Raises ValueError if R != 0 or K != 0."""
     r = eval_condition("R", d)
     if not r.is_zero:
         raise ValueError(f"midpoint formulas need R = 0; R = {r}")
+    v_sq = midpoint_distances(d)[0]
     bc_ad = sqrt_rational(d.qb * d.qc) + sqrt_rational(d.qa * d.qd)
     ab_cd = sqrt_rational(d.qa * d.qb) + sqrt_rational(d.qc * d.qd)
     ac_bd = sqrt_rational(d.qa * d.qc) + sqrt_rational(d.qb * d.qd)
-    e = sqrt_rational(d.qe)
-    v_from_r = bc_ad / (2 * e)
-    ratio_over_4 = bc_ad * ab_cd / (4 * ac_bd)
-    if v_from_r * v_from_r == ratio_over_4:
-        # K = 0 holds (always, for planar R = 0 inputs): the formulas agree,
-        # so the verified common value is the diagonal-free root as well
-        return v_from_r, v_from_r
-    v_diag_free = rad_sqrt(ratio_over_4)  # may raise NotRepresentable...
-    return v_from_r, v_diag_free
+    if 4 * v_sq * ac_bd != bc_ad * ab_cd:
+        raise ValueError("midpoint formulas need K = 0, true on every planar "
+                         "R = 0 input; this sextuple is not planar")
+    v = sqrt_rational(v_sq)
+    return v, v
 
 
 # ---------------------------------------------------------------------------

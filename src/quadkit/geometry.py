@@ -200,10 +200,6 @@ class HullClass:
     interior: str = ""
     triple: str = ""
 
-    @property
-    def is_convex(self) -> bool:
-        return self.kind == "convex4"
-
     def __str__(self) -> str:
         if self.kind == "convex4":
             return f"convex {self.boundary}"

@@ -26,10 +26,6 @@ class RadicalSignError(ArithmeticError):
     """Internal error: interval precision cap reached for a nonzero value."""
 
 
-class NotRepresentableInQuadraticTower(ValueError):
-    """A requested square root does not live in any square-root tower."""
-
-
 # ---------------------------------------------------------------------------
 # integer factorization (radicands stay exact only if kept squarefree)
 # ---------------------------------------------------------------------------
@@ -222,9 +218,6 @@ class RadicalValue:
     def coords(self) -> dict[int, Fraction]:
         return dict(self._coords)
 
-    def radicands(self) -> tuple[int, ...]:
-        return tuple(sorted(s for s in self._coords if s != 1))
-
     @property
     def is_zero(self) -> bool:
         return not self._coords
@@ -402,10 +395,6 @@ class RadicalValue:
             return NotImplemented
         return (self - o).sign() < 0
 
-    def __float__(self) -> float:
-        lo, hi = self.interval(128)
-        return float((lo + hi) / 2)
-
     def __bool__(self) -> bool:
         return bool(self._coords)
 
@@ -447,35 +436,3 @@ def sqrt_rational(q) -> RadicalValue:
     s, k = squarefree_decompose(q.numerator, q.denominator)
     return RadicalValue({s: Fraction(k, q.denominator)}, _normalized=True)
 
-
-def rad_sqrt(x: RadicalValue) -> RadicalValue:
-    """Square root of a nonnegative radical value, when it stays inside a
-    square-root tower: rationals always work, and single-radicand values
-    A + B*sqrt(m) denest when A**2 - B**2*m is a rational square."""
-    if x.is_zero:
-        return ZERO
-    if x.sign() < 0:
-        raise ValueError("sqrt of a negative value")
-    if x.is_rational():
-        return sqrt_rational(x.as_fraction())
-    rads = x.radicands()
-    if len(rads) == 1:
-        m = rads[0]
-        A = x.rational_part()
-        B = x._coords[m]
-        disc = A * A - B * B * m
-        if disc >= 0:
-            root = sqrt_rational(disc)
-            if root.is_rational():
-                D = root.as_fraction()
-                x1 = (A + D) / 2
-                x2 = (A - D) / 2
-                if x1 >= 0 and x2 >= 0:
-                    cand = sqrt_rational(x1) + sqrt_rational(x2)
-                    if cand * cand == x:
-                        return cand
-                    cand = sqrt_rational(x1) - sqrt_rational(x2)
-                    if cand * cand == x:
-                        return cand
-    raise NotRepresentableInQuadraticTower(
-        f"sqrt({x}) does not denest into a square-root tower")

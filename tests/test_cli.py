@@ -245,6 +245,21 @@ def test_render_svg(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # stopped mid-stream by a print, and at the final flush
+    ["generate", "cyclic", "--count", "200", "--seed", "1"],
+    ["render-svg", "-"]], ids=["generate", "render-svg"])
+def test_closed_output_pipe_exits_without_traceback(argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen([sys.executable, "-m", "quadkit.cli", *argv],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the command has read its input or written
+    _, err = proc.communicate(json.dumps(SQUARE).encode(), timeout=60)
+    assert b"Traceback" not in err, err.decode()
+    assert not err and proc.returncode == 141
+
+
 def test_usage_error_is_input_error(capsys):
     assert main(["classify"]) == 1
     assert main(["not-a-command"]) == 1

@@ -166,6 +166,27 @@ def test_midpoint_v_formulas_reject_cyclic():
         midpoint_v_formulas(d)
 
 
+def test_midpoint_v_formulas_reject_nonplanar_supplementary():
+    # R = 0 off the plane: K^2 = -e^2*CM/2 != 0, so the diagonal-free form
+    # is not the midpoint distance there
+    d = DistSextuple(1, 1, 9, 4, 5, 5)
+    assert eval_condition("R", d).is_zero
+    assert eval_condition("K", d) == RadicalValue.from_rational(10)
+    assert eval_condition("CM", d) == RadicalValue.from_rational(-40)
+    with pytest.raises(ValueError, match="K = 0"):
+        midpoint_v_formulas(d)
+
+
+def test_midpoint_v_equals_both_closed_forms_on_folded_family():
+    for seed in range(12):
+        d = gen_folded(seed).sextuple()
+        v, _ = midpoint_v_formulas(d)
+        a, b, c, dd, e = (sqrt_rational(q) for q in d.as_tuple()[:5])
+        assert 2 * e * v == b * c + a * dd
+        assert (4 * v * v * (a * c + b * dd)
+                == (b * c + a * dd) * (a * b + c * dd))
+
+
 def test_ptolemy_equality_and_inequality():
     # P = 0 on sequential cyclic configs, P > 0 off-circle (planar)
     for seed in range(15):

@@ -190,7 +190,7 @@ def test_convex_iff_coupled_sign_products():
             continue
         n = abc * acd
         m = abd * bcd
-        convex = classify_hull(cfg).is_convex
+        convex = classify_hull(cfg).kind == "convex4"
         assert convex == ((n > 0 and m > 0) or (n < 0 and m < 0))
 
 
@@ -488,7 +488,7 @@ def test_gen_cyclic_orders_and_determinism():
         cfg = gen_cyclic(101, order)
         assert cocircularity(cfg) == 0
         hull = classify_hull(cfg)
-        assert hull.is_convex and same_cycle(hull.boundary, order)
+        assert hull.kind == "convex4" and same_cycle(hull.boundary, order)
     assert gen_cyclic(5) == gen_cyclic(5)
     with pytest.raises(GeometryError):
         gen_cyclic(0, "ABCE")
@@ -504,7 +504,7 @@ def test_gen_folded_has_supplementary_family_conditions():
 def test_gen_tilted_kite_hull_kinds():
     for seed in range(12):
         cv = gen_tilted_kite(seed, convex=True)
-        assert classify_hull(cv).is_convex
+        assert classify_hull(cv).kind == "convex4"
         d = cv.sextuple()
         assert (eval_condition("R_T", d).is_zero
                 and eval_condition("K_T", d).is_zero)
@@ -537,7 +537,7 @@ def test_gen_tilted_kite_reflection_construction():
                 and eval_condition("K_T", d).is_zero)
         hull = classify_hull(kite)
         if i % 2:
-            assert hull.is_convex
+            assert hull.kind == "convex4"
         else:
             assert hull.kind == "concave3" and hull.interior in ("B", "D")
         orders.add(_areas(kite)[1] > 0)

@@ -337,11 +337,38 @@ def test_square_beyond_initial_field_width(monkeypatch):
     assert not ideal_membership(_p("x^20000"), [_p("x^30000")])
 
 
-def test_groebner_binds_traced_mono_names():
-    # perfbench/tracer.py wraps these names in the groebner module
-    import quadkit.groebner as groebner
+def test_names_the_benchmark_tracer_wraps_exist(monkeypatch):
+    # perfbench/tracer.py wraps these names from outside the package; a
+    # missing one breaks `perfbench/smoke.py --trace 1` only
+    import importlib
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    from quadkit import certificates, groebner, poly, radicals
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # for its dataclasses
+    spec.loader.exec_module(tracer)
+    for mod_name, names in tracer.SPAN_PROBES.items():
+        mod = importlib.import_module(f"quadkit.{mod_name}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{mod_name}.{name}"
+    # wrapped by class attribute, so each must be defined on the class itself
+    for cls, names in ((poly.Polynomial, tracer.POLY_OPS),
+                       (radicals.RadicalValue,
+                        tracer.RADICAL_OPS + ("sign", "interval")),
+                       (poly.MonomialOrder, ("key",))):
+        for name in names:
+            assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"
+    assert callable(radicals.sqrt_rational)
+    assert callable(radicals.factorize.cache_clear)
+    assert callable(radicals.factorize.cache_info)
     for name in ("mono_mul", "mono_div", "mono_divides", "mono_lcm"):
-        assert callable(groebner.__dict__[name]), name
+        assert callable(groebner.__dict__.get(name)), name
+    for name in ("ptolemy_scheme", "r_scheme", "t_scheme"):
+        assert callable(getattr(certificates, name, None)), name
 
 
 def test_full_basis_hashes_pinned():

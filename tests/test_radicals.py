@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadkit import radicals
-from quadkit.radicals import (NotRepresentableInQuadraticTower, RadicalValue,
-                              RadicalSignError, factorize, rad_sqrt,
+from quadkit.radicals import (RadicalValue, RadicalSignError, factorize,
                               sqrt_rational, squarefree_decompose)
 
 
@@ -143,17 +142,6 @@ def test_str_format():
     v = Fraction(3, 2) + 5 * sqrt_rational(2) - Fraction(1, 3) * sqrt_rational(6)
     assert str(v) == "3/2 + 5*sqrt(2) - 1/3*sqrt(6)"
     assert str(RadicalValue.from_rational(0)) == "0"
-
-
-def test_rad_sqrt_denesting():
-    r2 = sqrt_rational(2)
-    assert rad_sqrt(3 + 2 * r2) == 1 + r2
-    assert rad_sqrt(RadicalValue.from_rational(Fraction(9, 4))) == \
-        RadicalValue.from_rational(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        rad_sqrt(RadicalValue.from_rational(-1))
-    with pytest.raises(NotRepresentableInQuadraticTower):
-        rad_sqrt(1 + r2)  # sqrt(1+sqrt 2) does not denest
 
 
 @settings(max_examples=60, deadline=None)
