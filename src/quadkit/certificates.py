@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from . import geometry
 from .conditions import (DIST_VARS, condition_poly, eval_condition,
                          eval_poly_on_sextuple)
-from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, Point, QuadConfig,
+from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, QuadConfig,
                        classify_hull, cocircularity, cross,
                        gen_collinear_inorder, gen_cyclic, gen_folded,
                        gen_tilted_kite, hull_from_signs, hull_table,
@@ -460,25 +460,20 @@ def cert_elimination_formula(target: str, seed: int = 0,
 def _parallelogram(rng: random.Random) -> QuadConfig:
     draw = geometry._rand_fraction
     while True:
-        A = Point(draw(rng, -8, 8, 4), draw(rng, -8, 8, 4))
+        x, y = draw(rng, -8, 8, 4), draw(rng, -8, 8, 4)
         ux, uy, vx, vy = (draw(rng, -9, 9, 3) for _ in range(4))
-        B = Point(A.x + ux, A.y + uy)
-        C = Point(B.x + vx, B.y + vy)
-        D = Point(A.x + vx, A.y + vy)
-        cfg = QuadConfig(A, B, C, D)
+        cfg = QuadConfig.of((x, y), (x + ux, y + uy),
+                            (x + ux + vx, y + uy + vy), (x + vx, y + vy))
         if cfg.distinct() and ux * vy != uy * vx:
             return cfg
 
 
 def _rhombus(rng: random.Random) -> QuadConfig:
     # p, q >= 1: four distinct points, legs (p, q) and (p, -q) of equal length
-    p = rng.randint(1, 9)
-    q = rng.randint(1, 9)
-    A = Point(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
-    B = Point(A.x + p, A.y + q)
-    C = Point(B.x + p, B.y - q)
-    D = Point(A.x + p, A.y - q)
-    return QuadConfig(A, B, C, D)
+    p, q = rng.randint(1, 9), rng.randint(1, 9)
+    x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+    return QuadConfig(((x, y), (x + p, y + q), (x + 2 * p, y),
+                       (x + p, y - q)), 1)
 
 
 def _symmetric_kite(rng: random.Random) -> QuadConfig:
@@ -487,11 +482,7 @@ def _symmetric_kite(rng: random.Random) -> QuadConfig:
         h, k = _apex(rng)
         if h == k:
             continue  # that would be a rhombus
-        A = Point(Fraction(0), Fraction(0))
-        B = Point(half, h)
-        C = Point(2 * half, Fraction(0))
-        D = Point(half, -k)
-        return QuadConfig(A, B, C, D)
+        return QuadConfig.of((0, 0), (half, h), (2 * half, 0), (half, -k))
 
 
 def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
@@ -553,8 +544,9 @@ def _frac_outside(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _frac_inside(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    num = rng.randint(1, 19)
-    return lo + (hi - lo) * Fraction(num, 20)
+    """A random rational strictly inside (lo, hi), never its midpoint."""
+    num = rng.randint(1, 18)
+    return lo + (hi - lo) * Fraction(num + (num >= 10), 20)
 
 
 def _apex(rng: random.Random) -> tuple[Fraction, Fraction]:
@@ -610,8 +602,6 @@ def cert_degenerate_cases(family: str, seed: int = 0, samples: int = 200,
             name, place, flat, (s1, s2), zero = rng.choice(cases)
             h, k = _apex(rng)
             x = free_point(rng, Fraction(0), 2 * h)
-            if x == h:
-                continue  # the free point at the apex's foot (B = D when flat)
             cfg = QuadConfig.of(*place(h, k, x))
             d6 = cfg.sextuple()
             ok = ({t for t in TRIANGLES if cfg.cross(t) == 0} == set(flat)
@@ -650,7 +640,6 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
     draw builds no Fraction until it passes the side tests."""
     want = "convex4" if convex else "concave3"
     randint = rng.randint
-    A = Point(Fraction(0), Fraction(0))
     while True:
         tx, ty, tw = geometry._circle_ints(randint(1, 30), randint(1, 30))
         cn, cd = randint(1, 8), randint(1, 4)  # C = (cn/cd, 0)
@@ -668,10 +657,10 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
         (_, ay1, qy1, den1), (_, ay2, qy2, den2) = lines
         if qy1 * den1 * qy2 * den2 <= 0 or ay1 * den1 * ay2 * den2 <= 0:
             continue
-        B, D = (Point(Fraction(-cn * qy * ax, cd * den),
-                      Fraction(-cn * qy * ay, cd * den))
+        B, D = ((Fraction(-cn * qy * ax, cd * den),
+                 Fraction(-cn * qy * ay, cd * den))
                 for ax, ay, qy, den in lines)
-        cfg = QuadConfig(A, B, Point(Fraction(cn, cd), Fraction(0)), D)
+        cfg = QuadConfig.of((0, 0), B, (Fraction(cn, cd), 0), D)
         if (not cfg.distinct() or classify_hull(cfg).kind != want
                 or cfg.cross("BDA") * cfg.cross("BDC") >= 0):
             continue
@@ -804,14 +793,12 @@ def cert_hull_tables(seed: int = 0, samples: int = 100000,
                  "collinear4": 0}
         for i in range(samples):
             if i % 500 == 499:  # exercises the collinear4 rows
-                ints = [c for p in
-                        gen_collinear_inorder(rng).int_points.values()
-                        for c in p]
+                pts = gen_collinear_inorder(rng).int_points
             else:
                 # small spans hit collinear triples
                 span = 8 if i % 3 == 0 else 40
-                _, ints = geometry._draw_quad(rng, span, 3 if i % 2 else 1)
-            ax, ay, bx, by, cx, cy, dx, dy = ints
+                pts, _ = geometry._draw_quad(rng, span, 3 if i % 2 else 1)
+            (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts
             # `cross` written out: a call per triangle doubles this loop
             crosses = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax),
                        (bx - ax) * (dy - ay) - (by - ay) * (dx - ax),

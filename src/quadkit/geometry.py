@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 from typing import Callable
 from .poly import det
 
@@ -126,42 +126,52 @@ class DistSextuple:
         return (self.qa, self.qb, self.qc, self.qd, self.qe, self.qf)
 
 
+_LABELS = {label: i for i, label in enumerate("ABCD")}
+
+
 @dataclass(frozen=True)
 class QuadConfig:
-    """Four labeled planar points A, B, C, D.  `int_points` maps each label
-    to its point times `int_scale`, the lcm of the eight coordinate
-    denominators: a positive shared scale keeps orientations, coincidences
-    and coordinate order."""
+    """Four labeled planar points A, B, C, D, held as `int_points`, the
+    integer pairs in A, B, C, D order, over the shared positive `int_scale`.
+    Both are reduced by their gcd, so the scale is the lcm of the eight
+    coordinate denominators and each configuration has one encoding.  A
+    positive shared scale keeps orientations, coincidences and coordinate
+    order; `points()` gives the `Fraction` points, for output."""
 
-    A: Point
-    B: Point
-    C: Point
-    D: Point
-    int_scale: int = field(init=False, repr=False, compare=False)
-    int_points: dict[str, tuple[int, int]] = field(init=False, repr=False,
-                                                   compare=False)
+    int_points: tuple[tuple[int, int], ...]
+    int_scale: int
 
     def __post_init__(self):
-        pts = self.points()
-        s = lcm(*(c.denominator for p in pts for c in p))
-        object.__setattr__(self, "int_scale", s)
-        object.__setattr__(self, "int_points", {
-            label: (p.x.numerator * (s // p.x.denominator),
-                    p.y.numerator * (s // p.y.denominator))
-            for label, p in zip("ABCD", pts)})
+        s = self.int_scale
+        if s < 1:
+            raise GeometryError(f"scale must be >= 1, not {s}")
+        g = gcd(s, *(c for p in self.int_points for c in p))
+        object.__setattr__(self, "int_scale", s // g)
+        object.__setattr__(self, "int_points",
+                           tuple((x // g, y // g) for x, y in self.int_points))
 
     @classmethod
     def of(cls, A, B, C, D) -> "QuadConfig":
-        return cls(*(Point(_frac(x), _frac(y)) for x, y in (A, B, C, D)))
+        cs = [_frac(c) for p in (A, B, C, D) for c in p]
+        s = lcm(*(c.denominator for c in cs))
+        ints = [c.numerator * (s // c.denominator) for c in cs]
+        return cls(tuple(zip(ints[::2], ints[1::2])), s)
 
-    def points(self) -> tuple[Point, Point, Point, Point]:
-        return (self.A, self.B, self.C, self.D)
+    def points(self) -> tuple[Point, ...]:
+        s = self.int_scale
+        return tuple(Point(Fraction(x, s), Fraction(y, s))
+                     for x, y in self.int_points)
+
+    A = property(lambda self: self.points()[0])
+    B = property(lambda self: self.points()[1])
+    C = property(lambda self: self.points()[2])
+    D = property(lambda self: self.points()[3])
 
     def cross(self, tri: str) -> int:
         """Twice the signed area of three labeled vertices, e.g. "ABC", on
         the integer points: int_scale**2 times the true value."""
-        pts = self.int_points
-        return cross(pts[tri[0]], pts[tri[1]], pts[tri[2]])
+        pts, i = self.int_points, _LABELS
+        return cross(pts[i[tri[0]]], pts[i[tri[1]]], pts[i[tri[2]]])
 
     def orient(self, tri: str) -> int:
         """The sign of `cross` (+1 counterclockwise)."""
@@ -169,17 +179,12 @@ class QuadConfig:
         return (d > 0) - (d < 0)
 
     def distinct(self) -> bool:
-        return len(set(self.int_points.values())) == 4
+        return len(set(self.int_points)) == 4
 
     def sextuple(self) -> DistSextuple:
-        pts, s2 = self.int_points, self.int_scale ** 2
-        return DistSextuple(*(Fraction(sq_dist(pts[u], pts[v]), s2)
+        pts, i, s2 = self.int_points, _LABELS, self.int_scale ** 2
+        return DistSextuple(*(Fraction(sq_dist(pts[i[u]], pts[i[v]]), s2)
                               for u, v in DIST_PAIRS))
-
-    def replace(self, label: str, p: Point) -> "QuadConfig":
-        parts = {"A": self.A, "B": self.B, "C": self.C, "D": self.D}
-        parts[label] = p
-        return QuadConfig(**parts)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +288,7 @@ def cocircularity(cfg: QuadConfig) -> Fraction:
     """4x4 lifting determinant; 0 iff A, B, C, D lie on one circle or line.
     On the integer points its columns scale by int_scale**2, int_scale,
     int_scale and 1, so the true value is the integer one over int_scale**4."""
-    return Fraction(det(lift_rows(cfg.int_points.values())),
+    return Fraction(det(lift_rows(cfg.int_points)),
                     cfg.int_scale ** 4)
 
 
@@ -308,21 +313,24 @@ def midpoint_distances(d: DistSextuple) -> tuple[Fraction, Fraction, Fraction]:
 def reflect_over_line(cfg: QuadConfig, vertex: str,
                       line: tuple[str, str]) -> QuadConfig:
     """Reflect one labeled vertex across the line through two other vertices:
-    p' = p - 2((p-l1).n / n.n) n on the integer points, n the line's normal.
-    Distances from the moved vertex to the line's endpoints are unchanged."""
+    p' = p - 2((p-l1).n / n.n) n on the integer points, n the line's normal,
+    over the scale times n.n.  Distances from the moved vertex to the line's
+    endpoints are unchanged."""
     pts = cfg.int_points
     try:
-        (px, py), (ax, ay), (bx, by) = (pts[v] for v in (vertex, *line[:2]))
+        i, a, b = (_LABELS[v] for v in (vertex, *line[:2]))
     except KeyError as exc:
         raise GeometryError(
             f"vertex must be A/B/C/D, not {exc.args[0]!r}") from None
+    (px, py), (ax, ay), (bx, by) = pts[i], pts[a], pts[b]
     nx, ny = ay - by, bx - ax
     nn = sq_dist((ax, ay), (bx, by))  # n.n
     if nn == 0:
         raise GeometryError("line endpoints coincide")
-    k, den = 2 * ((px - ax) * nx + (py - ay) * ny), nn * cfg.int_scale
-    return cfg.replace(vertex, Point(Fraction(px * nn - k * nx, den),
-                                     Fraction(py * nn - k * ny, den)))
+    k = 2 * ((px - ax) * nx + (py - ay) * ny)
+    moved = [(x * nn, y * nn) for x, y in pts]
+    moved[i] = (px * nn - k * nx, py * nn - k * ny)
+    return QuadConfig(tuple(moved), nn * cfg.int_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +370,11 @@ def gen_cyclic(seed_or_rng, order: str = "ABCD") -> QuadConfig:
     while len(ts) < 4:
         ts.add(_rand_fraction(rng, -30, 30, 10))
     # the circle parametrization is injective: distinct ts, distinct points
-    pts = {label: unit_circle_point(t)
-           for label, t in zip(order, sorted(ts))}
-    return QuadConfig(pts["A"], pts["B"], pts["C"], pts["D"])
+    xyw = dict(zip(order, (_circle_ints(t.numerator, t.denominator)
+                           for t in sorted(ts))))
+    s = lcm(*(w for _, _, w in xyw.values()))
+    return QuadConfig(tuple((x * (s // w), y * (s // w))
+                            for x, y, w in map(xyw.get, "ABCD")), s)
 
 
 def gen_collinear_inorder(seed_or_rng) -> QuadConfig:
@@ -378,7 +388,7 @@ def gen_collinear_inorder(seed_or_rng) -> QuadConfig:
     ux, uy = unit_circle_point(_rand_fraction(rng, -5, 5, 4))
     ox = _rand_fraction(rng, -5, 5, 4)
     oy = _rand_fraction(rng, -5, 5, 4)
-    return QuadConfig(*(Point(ox + x * ux, oy + x * uy) for x in sorted(xs)))
+    return QuadConfig.of(*((ox + x * ux, oy + x * uy) for x in sorted(xs)))
 
 
 def _reflected(draw: Callable[[], QuadConfig], vertex: str,
@@ -432,10 +442,9 @@ def gen_tilted_kite(seed_or_rng, convex: bool = True) -> QuadConfig:
 
 
 def _draw_quad(rng: random.Random, span: int, max_den: int
-               ) -> tuple[list[tuple[int, int]], list[int]]:
-    """The (numerator, denominator) draws x_A, y_A, ..., y_D of the first
-    distinct quad, and its coordinates as integers n * (L // d), L the lcm
-    of the drawn denominators, on which the points are compared."""
+               ) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The first distinct quad of draws n/d for x_A, y_A, ..., y_D, as its
+    integer points n * (L // d) and L, the lcm of the drawn denominators."""
     if span < 1:  # span 0 draws only the origin: never four distinct points
         raise GeometryError(f"span must be >= 1, not {span}")
     randint = rng.randint
@@ -443,15 +452,14 @@ def _draw_quad(rng: random.Random, span: int, max_den: int
         draw = [(randint(-span, span), randint(1, max_den)) for _ in range(8)]
         scale = lcm(*(d for _, d in draw))
         ints = [n * (scale // d) for n, d in draw]
-        if len(set(zip(ints[::2], ints[1::2]))) == 4:
-            return draw, ints
+        pts = tuple(zip(ints[::2], ints[1::2]))
+        if len(set(pts)) == 4:
+            return pts, scale
 
 
 def random_quad(seed_or_rng, span: int = 40, max_den: int = 4) -> QuadConfig:
     """Four distinct random rational points (no structure imposed)."""
-    draw, _ = _draw_quad(_rng(seed_or_rng), span, max_den)
-    c = [Fraction(n, d) for n, d in draw]
-    return QuadConfig(*(Point(c[i], c[i + 1]) for i in range(0, 8, 2)))
+    return QuadConfig(*_draw_quad(_rng(seed_or_rng), span, max_den))
 
 
 # ---------------------------------------------------------------------------
@@ -459,22 +467,23 @@ def random_quad(seed_or_rng, span: int = 40, max_den: int = 4) -> QuadConfig:
 # ---------------------------------------------------------------------------
 
 def config_to_obj(cfg: QuadConfig) -> dict:
-    return {label: [str(p.x), str(p.y)]
-            for label, p in zip("ABCD", cfg.points())}
+    s = cfg.int_scale
+    return {label: [str(Fraction(x, s)), str(Fraction(y, s))]
+            for label, (x, y) in zip("ABCD", cfg.int_points)}
 
 
 def config_from_obj(obj) -> QuadConfig:
     if not isinstance(obj, dict):
         raise GeometryError("configuration JSON must be an object")
-    pts = {}
+    pts = []
     for label in "ABCD":
         if label not in obj:
             raise GeometryError(f"missing vertex {label}")
         pair = obj[label]
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise GeometryError(f"vertex {label} must be [x, y]")
-        pts[label] = Point(_frac(pair[0]), _frac(pair[1]))
-    return QuadConfig(pts["A"], pts["B"], pts["C"], pts["D"])
+        pts.append(pair)
+    return QuadConfig.of(*pts)
 
 
 def sextuple_to_obj(d: DistSextuple) -> dict:
@@ -494,9 +503,10 @@ def sextuple_from_obj(obj) -> DistSextuple:
 
 def config_svg(cfg: QuadConfig) -> str:
     """A labeled SVG drawing; vertex coordinates converted to float once."""
+    s = cfg.int_scale
     try:
-        pts = {label: (float(p.x), float(p.y))
-               for label, p in zip("ABCD", cfg.points())}
+        pts = {label: (x / s, y / s)
+               for label, (x, y) in zip("ABCD", cfg.int_points)}
     except OverflowError:
         raise GeometryError("coordinates too large to draw") from None
     xs = [v[0] for v in pts.values()]

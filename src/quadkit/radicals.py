@@ -11,7 +11,7 @@ nonzero values are decided by adaptive-precision integer intervals.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from .poly import add_terms, power, sum_hash
 
@@ -172,7 +172,6 @@ def squarefree_decompose(*factors: int) -> tuple[int, int]:
 # the field elements
 # ---------------------------------------------------------------------------
 
-@total_ordering
 class RadicalValue:
     """An exact element of a square-root tower over Q.
 
@@ -388,12 +387,6 @@ class RadicalValue:
             prec <<= 1
         raise RadicalSignError(
             f"sign undecided at {_SIGN_PREC_CAP} bits for nonzero value {self}")
-
-    def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
 
     def __bool__(self) -> bool:
         return bool(self._coords)

@@ -5,6 +5,7 @@ import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -177,7 +178,7 @@ def test_hull_invariant_under_rigid_motions_and_scaling():
             return Point(lam * (ca * p.x - sa * p.y) + ox,
                          lam * (sa * p.x + ca * p.y) + oy)
 
-        moved = QuadConfig(*[move(p) for p in cfg.points()])
+        moved = QuadConfig.of(*[move(p) for p in cfg.points()])
         assert classify_hull(moved) == base
 
 
@@ -224,8 +225,8 @@ def _wide_fraction(rng):
 def _orientation_cases():
     rng = random.Random(61)
     for _ in range(150):  # denominators up to 10^6
-        yield QuadConfig(*[Point(_wide_fraction(rng), _wide_fraction(rng))
-                           for _ in range(4)])
+        yield QuadConfig.of(*[Point(_wide_fraction(rng), _wide_fraction(rng))
+                              for _ in range(4)])
     for i in range(150):  # an exact collinear triple, then a free point
         a = Point(_wide_fraction(rng), _wide_fraction(rng))
         b = Point(_wide_fraction(rng), _wide_fraction(rng))
@@ -236,7 +237,7 @@ def _orientation_cases():
             free = Point(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
         pts = line + [free]
         rng.shuffle(pts)
-        yield QuadConfig(*pts)
+        yield QuadConfig.of(*pts)
     for _ in range(40):
         yield gen_collinear_inorder(rng)
     for family in ("R", "R_T"):  # the degenerate placements
@@ -284,6 +285,37 @@ def test_distinct_matches_point_inequality_on_unreduced_inputs():
     assert not QuadConfig.of(("1/2", 0), ("2/4", "0/3"), (1, 1),
                              (2, 2)).distinct()
     assert QuadConfig.of(("1/2", 0), ("2/3", 0), (1, 1), (2, 2)).distinct()
+
+
+def test_every_configuration_holds_its_one_reduced_encoding():
+    # rebuilt from its Fraction points, each generated configuration is the
+    # same value: its integer points and scale share no factor
+    rng = random.Random(27)
+    draws = (lambda r: gen_cyclic(r, r.choice(("ABCD", "ACBD", "ADCB"))),
+             gen_folded, gen_reflected, gen_tilted_kite,
+             lambda r: gen_tilted_kite(r, convex=False),
+             gen_collinear_inorder, random_quad,
+             lambda r: random_quad(r, span=100, max_den=30))
+    for draw in draws:
+        for _ in range(25):
+            cfg = draw(rng)
+            assert QuadConfig.of(*cfg.points()) == cfg
+            assert gcd(cfg.int_scale,
+                       *(c for p in cfg.int_points for c in p)) == 1
+    cfg = QuadConfig(((2, 4), (6, 0), (0, 8), (4, 4)), 4)
+    assert cfg.int_points == ((1, 2), (3, 0), (0, 4), (2, 2))
+    assert cfg.int_scale == 2
+    assert cfg == QuadConfig.of(("1/2", 1), ("3/2", 0), (0, 2), (1, 1))
+    assert cfg.points() == (Point(Fraction(1, 2), Fraction(1)),
+                            Point(Fraction(3, 2), Fraction(0)),
+                            Point(Fraction(0), Fraction(2)),
+                            Point(Fraction(1), Fraction(1)))
+    for scale in (0, -2):
+        with pytest.raises(GeometryError, match="scale must be >= 1"):
+            QuadConfig(((0, 0), (1, 0), (0, 1), (1, 1)), scale)
+    for vertex in ("a", "AB", "E"):
+        with pytest.raises(GeometryError, match="vertex must be"):
+            reflect_over_line(cfg, vertex, ("B", "D"))
 
 
 # -- determinants ---------------------------------------------------------------
@@ -345,7 +377,7 @@ def test_integer_determinants_match_fraction_cofactor_reference():
     for _ in range(200):
         qs = [q() for _ in range(6)]
         assert cayley_menger(DistSextuple(*qs)) == _cm_reference(*qs)
-        cfg = QuadConfig(*(Point(q() - q(), q() - q()) for _ in range(4)))
+        cfg = QuadConfig.of(*(Point(q() - q(), q() - q()) for _ in range(4)))
         assert cocircularity(cfg) == _cocircularity_reference(cfg)
         assert cayley_menger(cfg.sextuple()) == 0
     # DistSextuple refuses a zero entry, but the determinant is defined
@@ -358,7 +390,8 @@ def test_integer_determinants_match_fraction_cofactor_reference():
     # collinear points: on one line, both determinants vanish
     for _ in range(20):
         a, b, c = q(), q(), q()
-        cfg = QuadConfig(*(Point(x, a * x + b) for x in (c, c + 1, q(), -q())))
+        cfg = QuadConfig.of(*(Point(x, a * x + b)
+                              for x in (c, c + 1, q(), -q())))
         assert cocircularity(cfg) == _cocircularity_reference(cfg) == 0
         assert cayley_menger(cfg.sextuple()) == _cm_reference(
             *cfg.sextuple().as_tuple()) == 0
@@ -444,13 +477,14 @@ def test_reflection_matches_fraction_reference(coords, line_kind, move):
         pts[v] = Point(pts[v].x, pts[u].y)
     elif line_kind == "vertical":
         pts[v] = Point(pts[u].x, pts[v].y)
-    cfg = QuadConfig(**pts)
+    cfg = QuadConfig.of(**pts)
     if pts[u] == pts[v]:
         with pytest.raises(GeometryError):
             reflect_over_line(cfg, vertex, (u, v))
         return
     want = _reference_reflect_point(pts[vertex], pts[u], pts[v])
-    assert reflect_over_line(cfg, vertex, (u, v)) == cfg.replace(vertex, want)
+    assert reflect_over_line(cfg, vertex, (u, v)) == QuadConfig.of(
+        **{**pts, vertex: want})
 
 
 def test_reflection_rejects_degenerate_line():
