@@ -502,16 +502,17 @@ def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
         for i in range(samples):
             maker = makers[i % 3]
             d6 = maker(rng).sextuple()
-            if d6.qa * d6.qd != d6.qb * d6.qc:
+            qa, qb, qc, qd, qe, qf = d6.int_q  # over one scale
+            if qa * qd != qb * qc:
                 branch_bad += 1
                 continue
             if not eval_condition("R_T", d6).is_zero:
                 rt_bad += 1
-            first = d6.qa == d6.qc and d6.qb == d6.qd
-            second = d6.qa == d6.qb and d6.qc == d6.qd
+            first = qa == qc and qb == qd
+            second = qa == qb and qc == qd
             if not (first or second):
                 branch_bad += 1
-            plaw = 2 * d6.qa + 2 * d6.qb - d6.qe - d6.qf
+            plaw = 2 * qa + 2 * qb - qe - qf
             if first and plaw != 0:
                 law_bad_ac += 1
             if maker is _symmetric_kite and not first and plaw == 0:

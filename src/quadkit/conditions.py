@@ -123,13 +123,13 @@ def verify_all_identities() -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 _COMPILED: dict[int, tuple] = {}  # by id; each entry keeps its polynomial
-_LAST: tuple | None = None  # (qs, scale, n, roots) of the latest sextuple
+_LAST: tuple | None = None  # (sextuple, class roots) of the latest sextuple
 
 
 def _compile(p: Polynomial) -> tuple:
     """p's terms by the parity vector of their exponents: per class the odd
-    variables, den and e of the common denominator den * L**e (L scales the
-    sextuple to integers) and per term its integer coefficient, its half
+    variables, den and e of the common denominator den * L**e (L is the
+    sextuple's `int_scale`) and per term its integer coefficient, its half
     exponents above 0 and the power of L padding it to the top half degree."""
     hit = _COMPILED.get(id(p))
     if hit is not None:
@@ -157,19 +157,17 @@ def _compile(p: Polynomial) -> tuple:
 def eval_poly_on_sextuple(p: Polynomial, d: DistSextuple) -> RadicalValue:
     """Evaluate a distance polynomial exactly at a = sqrt(qa) etc.
 
-    With q_i = n_i / L for integers n_i, each parity class is an integer sum
-    times sqrt(L**(len(odd) % 2) * prod of its odd n_i) over a power of L:
-    one square root per class, whose radicand is factored entry by entry
-    (`squarefree_decompose`).  Roots of distinct squarefree integers are
-    linearly independent over Q, so the value's form is the term-wise one.
-    L, the n_i and the class roots of the latest sextuple are kept for reuse."""
+    With q_i = n_i / L for the sextuple's `int_q` n_i and `int_scale` L,
+    each parity class is an integer sum times sqrt(L**(len(odd) % 2) * prod
+    of its odd n_i) over a power of L: one square root per class, whose
+    radicand is factored entry by entry (`squarefree_decompose`).  Roots of
+    distinct squarefree integers are linearly independent over Q, so the
+    value's form is the term-wise one.  The class roots of the latest
+    sextuple (compared by value) are kept for reuse."""
     global _LAST
-    qs = d.as_tuple()
-    if _LAST is None or _LAST[0] != qs:
-        scale = lcm(*(q.denominator for q in qs))
-        _LAST = (qs, scale, [q.numerator * (scale // q.denominator)
-                             for q in qs], {})
-    _, scale, n, roots = _LAST
+    if _LAST is None or _LAST[0] != d:
+        _LAST = (d, {})
+    roots, n, scale = _LAST[1], d.int_q, d.int_scale
     coords: dict[int, Fraction] = {}
     for odd, den, exp, rows in _compile(p):
         acc = 0
@@ -238,8 +236,8 @@ def run_self_check() -> None:
     rng = random.Random(20260810)
     cm = condition_poly("CM")
     for _ in range(50):
-        d = DistSextuple(*[Fraction(rng.randint(1, 400), rng.randint(1, 20))
-                           for _ in range(6)])
+        d = DistSextuple.of(*[Fraction(rng.randint(1, 400), rng.randint(1, 20))
+                              for _ in range(6)])
         sym = eval_poly_on_sextuple(cm, d)
         if not sym.is_rational() or sym.as_fraction() != cayley_menger(d):
             raise AssertionError(

@@ -41,12 +41,12 @@ _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*$", re.IGNORECASE)
 _MAX_EXPONENT = 4300  # sys.int_info.default_max_str_digits
 
 
-def _frac(x) -> Fraction:
-    """An exact rational from an int, a Fraction or a "p/q" string.  A
-    decimal exponent beyond Python's int-digit limit is refused before
-    `Fraction` expands it."""
+def _frac(x, what: str) -> Fraction:
+    """An exact rational from an int, a Fraction or a "p/q" string; `what`
+    names the entry in an error.  A decimal exponent beyond Python's
+    int-digit limit is refused before `Fraction` expands it."""
     if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
-        raise GeometryError(f"coordinate {x!r} is not exact; pass an int or "
+        raise GeometryError(f"{what} {x!r} is not exact; pass an int or "
                             "a p/q string")
     try:
         exp = isinstance(x, str) and _EXPONENT.search(x)
@@ -54,7 +54,7 @@ def _frac(x) -> Fraction:
             raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT}")
         return Fraction(x)
     except (ZeroDivisionError, ValueError) as exc:
-        raise GeometryError(f"bad coordinate {x!r}: {exc}") from None
+        raise GeometryError(f"bad {what} {x!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -104,26 +104,37 @@ SQ_DIST_NAMES = ("qa", "qb", "qc", "qd", "qe", "qf")
 @dataclass(frozen=True)
 class DistSextuple:
     """Squared distances qa=|AB|^2, qb=|BC|^2, qc=|CD|^2, qd=|DA|^2,
-    qe=|AC|^2, qf=|BD|^2; all positive, planarity not implied."""
+    qe=|AC|^2, qf=|BD|^2 (planarity not implied), held as `int_q`, six
+    positive integers in that order, over one positive `int_scale`.  Both are
+    reduced by their gcd, so each sextuple has one encoding; `qa`..`qf` and
+    `as_tuple()` give the `Fraction` values, for output."""
 
-    qa: Fraction
-    qb: Fraction
-    qc: Fraction
-    qd: Fraction
-    qe: Fraction
-    qf: Fraction
+    int_q: tuple[int, ...]
+    int_scale: int
 
     def __post_init__(self):
-        for name in SQ_DIST_NAMES:
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, _frac(v))
-        for name in SQ_DIST_NAMES:
-            if getattr(self, name) <= 0:
+        s, qs = self.int_scale, self.int_q
+        if s < 1:
+            raise GeometryError(f"scale must be >= 1, not {s}")
+        for name, q in zip(SQ_DIST_NAMES, qs, strict=True):
+            if q <= 0:
                 raise GeometryError(f"squared distance {name} must be > 0")
+        g = gcd(s, *qs)
+        object.__setattr__(self, "int_scale", s // g)
+        object.__setattr__(self, "int_q", tuple(q // g for q in qs))
+
+    @classmethod
+    def of(cls, *qs) -> "DistSextuple":
+        fs = [_frac(q, f"squared distance {name}")
+              for name, q in zip(SQ_DIST_NAMES, qs, strict=True)]
+        s = lcm(*(f.denominator for f in fs))
+        return cls(tuple(f.numerator * (s // f.denominator) for f in fs), s)
+
+    qa, qb, qc, qd, qe, qf = (property(lambda d, i=i: d.as_tuple()[i])
+                              for i in range(6))
 
     def as_tuple(self) -> tuple[Fraction, ...]:
-        return (self.qa, self.qb, self.qc, self.qd, self.qe, self.qf)
+        return tuple(Fraction(q, self.int_scale) for q in self.int_q)
 
 
 _LABELS = {label: i for i, label in enumerate("ABCD")}
@@ -152,7 +163,8 @@ class QuadConfig:
 
     @classmethod
     def of(cls, A, B, C, D) -> "QuadConfig":
-        cs = [_frac(c) for p in (A, B, C, D) for c in p]
+        cs = [_frac(c, f"coordinate of {v}")
+              for v, p in zip("ABCD", (A, B, C, D)) for c in p]
         s = lcm(*(c.denominator for c in cs))
         ints = [c.numerator * (s // c.denominator) for c in cs]
         return cls(tuple(zip(ints[::2], ints[1::2])), s)
@@ -161,11 +173,6 @@ class QuadConfig:
         s = self.int_scale
         return tuple(Point(Fraction(x, s), Fraction(y, s))
                      for x, y in self.int_points)
-
-    A = property(lambda self: self.points()[0])
-    B = property(lambda self: self.points()[1])
-    C = property(lambda self: self.points()[2])
-    D = property(lambda self: self.points()[3])
 
     def cross(self, tri: str) -> int:
         """Twice the signed area of three labeled vertices, e.g. "ABC", on
@@ -182,9 +189,9 @@ class QuadConfig:
         return len(set(self.int_points)) == 4
 
     def sextuple(self) -> DistSextuple:
-        pts, i, s2 = self.int_points, _LABELS, self.int_scale ** 2
-        return DistSextuple(*(Fraction(sq_dist(pts[i[u]], pts[i[v]]), s2)
-                              for u, v in DIST_PAIRS))
+        pts, i = self.int_points, _LABELS
+        return DistSextuple(tuple(sq_dist(pts[i[u]], pts[i[v]])
+                                  for u, v in DIST_PAIRS), self.int_scale ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +282,9 @@ def classify_hull(cfg: QuadConfig) -> HullClass:
 
 def cayley_menger(d: DistSextuple) -> Fraction:
     """The 5x5 distance determinant; 0 iff the six squared distances embed in
-    the plane, and 288 V^2 for a tetrahedron of volume V.  It is homogeneous
-    of degree 3 in the q's, so it runs on the q's times L, the lcm of their
-    denominators, and divides by L**3."""
-    qs = d.as_tuple()
-    L = lcm(*(q.denominator for q in qs))
-    rows = cm_rows(*(q.numerator * (L // q.denominator) for q in qs))
-    return Fraction(det(rows), L ** 3)
+    the plane, and 288 V^2 for a tetrahedron of volume V.  Of degree 3 in the
+    q's, it is the determinant on `int_q` over int_scale**3."""
+    return Fraction(det(cm_rows(*d.int_q)), d.int_scale ** 3)
 
 
 def cocircularity(cfg: QuadConfig) -> Fraction:
@@ -493,12 +496,10 @@ def sextuple_to_obj(d: DistSextuple) -> dict:
 def sextuple_from_obj(obj) -> DistSextuple:
     if not isinstance(obj, dict):
         raise GeometryError("sextuple JSON must be an object")
-    vals = []
-    for k in SQ_DIST_NAMES:
-        if k not in obj:
-            raise GeometryError(f"missing squared distance {k}")
-        vals.append(_frac(obj[k]))
-    return DistSextuple(*vals)
+    try:
+        return DistSextuple.of(*(obj[k] for k in SQ_DIST_NAMES))
+    except KeyError as exc:
+        raise GeometryError(f"missing squared distance {exc.args[0]}") from None
 
 
 def config_svg(cfg: QuadConfig) -> str:

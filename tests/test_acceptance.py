@@ -72,7 +72,7 @@ def test_criterion_4_folded_rectangle_worked_instance():
         rect = QuadConfig.of((0, 0), (4, 0), (4, 3), (0, 3))
         folded = reflect_over_line(rect, "D", ("A", "C"))
         d = folded.sextuple()
-        assert d == DistSextuple(16, 9, 16, 9, 25, Fraction(49, 25))
+        assert d == DistSextuple.of(16, 9, 16, 9, 25, Fraction(49, 25))
         assert eval_condition("R", d).is_zero
         assert eval_condition("K", d).is_zero
         assert eval_condition("P", d) == RadicalValue.from_rational(18)
@@ -80,8 +80,9 @@ def test_criterion_4_folded_rectangle_worked_instance():
         v1, v2 = midpoint_v_formulas(d)
         want = RadicalValue.from_rational(Fraction(12, 5))
         assert v1 == want and v2 == want
-        mid_ac = ((folded.A.x + folded.C.x) / 2, (folded.A.y + folded.C.y) / 2)
-        mid_bd = ((folded.B.x + folded.D.x) / 2, (folded.B.y + folded.D.y) / 2)
+        A, B, C, D = folded.points()
+        mid_ac = ((A.x + C.x) / 2, (A.y + C.y) / 2)
+        mid_bd = ((B.x + D.x) / 2, (B.y + D.y) / 2)
         dist_sq = ((mid_ac[0] - mid_bd[0]) ** 2
                    + (mid_ac[1] - mid_bd[1]) ** 2)
         assert dist_sq == Fraction(144, 25)
@@ -176,8 +177,8 @@ def test_criterion_7_generalized_quadrilateral_theorem():
             return Fraction(sum((a - b) ** 2 for a, b in zip(p, q)))
 
         A3, B3, C3, D3 = pts
-        d = DistSextuple(sq3(A3, B3), sq3(B3, C3), sq3(C3, D3),
-                         sq3(D3, A3), sq3(A3, C3), sq3(B3, D3))
+        d = DistSextuple.of(sq3(A3, B3), sq3(B3, C3), sq3(C3, D3),
+                            sq3(D3, A3), sq3(A3, C3), sq3(B3, D3))
         v1, v2, v3 = midpoint_distances(d)
 
         def midsq3(p, q, r, s):
@@ -189,7 +190,7 @@ def test_criterion_7_generalized_quadrilateral_theorem():
         assert v2 == midsq3(A3, B3, C3, D3)
         assert v3 == midsq3(B3, C3, A3, D3)
         # unit-squared-distance model: all three midpoint gaps are 1/2
-        assert midpoint_distances(DistSextuple(1, 1, 1, 1, 1, 1)) == \
+        assert midpoint_distances(DistSextuple.of(1, 1, 1, 1, 1, 1)) == \
             (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
 

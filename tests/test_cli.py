@@ -268,11 +268,16 @@ def test_usage_error_is_input_error(capsys):
 @pytest.mark.parametrize("bad", [
     dict(SQUARE, C=["1/0", "1"]), dict(SQUARE, C=[True, "1"]),
     dict(SQUARE, C=[None, "1"]), dict(SQUARE, C=[[1, 2], "1"]),
-    dict(FOLDED_RECT_SEXT, qf="49/0")])
+    dict(FOLDED_RECT_SEXT, qf="49/0"), dict(FOLDED_RECT_SEXT, qa=1.5)])
 def test_classify_rejects_bad_coordinate(tmp_path, capsys, bad):
     assert main(["classify", _write(tmp_path, bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    # the error names the bad entry: its vertex, or its squared distance
+    key = next(k for k, v in bad.items()
+               if v != {**SQUARE, **FOLDED_RECT_SEXT}[k])
+    assert (f"coordinate of {key} " if key in "ABCD"
+            else f"squared distance {key} ") in err, err
 
 
 @pytest.mark.parametrize("hostile", [

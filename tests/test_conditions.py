@@ -21,7 +21,7 @@ from quadkit.geometry import (DistSextuple, QuadConfig, gen_cyclic,
 from quadkit.poly import Polynomial, VarSet
 from quadkit.radicals import RadicalValue, sqrt_rational
 
-FOLDED_RECT = DistSextuple(16, 9, 16, 9, 25, Fraction(49, 25))
+FOLDED_RECT = DistSextuple.of(16, 9, 16, 9, 25, Fraction(49, 25))
 
 
 def test_condition_poly_examples():
@@ -77,7 +77,7 @@ def test_cm_self_check_catches_a_wrong_determinant(monkeypatch):
 
 def test_eval_condition_worked_instances():
     # rectangle with sides 3, 4: Ptolemy is tight
-    rect = DistSextuple(9, 16, 9, 16, 25, 25)
+    rect = DistSextuple.of(9, 16, 9, 16, 25, 25)
     assert eval_condition("P", rect).is_zero
     # folded 3-4 rectangle
     assert eval_condition("R", FOLDED_RECT).is_zero
@@ -85,12 +85,12 @@ def test_eval_condition_worked_instances():
     assert eval_condition("P", FOLDED_RECT) == RadicalValue.from_rational(18)
     # parallelogram a=c=2, b=d=1: the equal-angle condition is the
     # parallelogram law
-    par = DistSextuple(4, 1, 4, 1, 6, 4)
+    par = DistSextuple.of(4, 1, 4, 1, 6, 4)
     assert eval_condition("R_T", par).is_zero
 
 
 def test_eval_condition_irrational_values():
-    d = DistSextuple(2, 3, 5, 7, 11, 13)
+    d = DistSextuple.of(2, 3, 5, 7, 11, 13)
     v = eval_condition("P", d)
     assert not v.is_rational()
     assert v == (RadicalValue({10: Fraction(1)}) + RadicalValue({21: Fraction(1)})
@@ -119,7 +119,7 @@ def test_supplementary_witness():
 def test_equal_angle_witness():
     kite = QuadConfig.of((0, 0), (1, 1), (2, 0), (1, -3)).sextuple()
     assert eval_condition("K_T", kite).is_zero
-    par = DistSextuple(4, 1, 4, 1, 6, 4)
+    par = DistSextuple.of(4, 1, 4, 1, 6, 4)
     assert eval_condition("K_T", par).is_zero
     rng = random.Random(4)
     hits = 0
@@ -144,10 +144,11 @@ def test_midpoint_v_formulas_folded_rectangle():
     # ... and the value matches the coordinate distance between the midpoints
     rect = QuadConfig.of((0, 0), (4, 0), (4, 3), (0, 3))
     folded = reflect_over_line(rect, "D", ("A", "C"))
-    m_ac_x = (folded.A.x + folded.C.x) / 2
-    m_ac_y = (folded.A.y + folded.C.y) / 2
-    m_bd_x = (folded.B.x + folded.D.x) / 2
-    m_bd_y = (folded.B.y + folded.D.y) / 2
+    A, B, C, D = folded.points()
+    m_ac_x = (A.x + C.x) / 2
+    m_ac_y = (A.y + C.y) / 2
+    m_bd_x = (B.x + D.x) / 2
+    m_bd_y = (B.y + D.y) / 2
     dist_sq = (m_ac_x - m_bd_x) ** 2 + (m_ac_y - m_bd_y) ** 2
     assert dist_sq == Fraction(144, 25)
 
@@ -169,7 +170,7 @@ def test_midpoint_v_formulas_reject_cyclic():
 def test_midpoint_v_formulas_reject_nonplanar_supplementary():
     # R = 0 off the plane: K^2 = -e^2*CM/2 != 0, so the diagonal-free form
     # is not the midpoint distance there
-    d = DistSextuple(1, 1, 9, 4, 5, 5)
+    d = DistSextuple.of(1, 1, 9, 4, 5, 5)
     assert eval_condition("R", d).is_zero
     assert eval_condition("K", d) == RadicalValue.from_rational(10)
     assert eval_condition("CM", d) == RadicalValue.from_rational(-40)
@@ -242,8 +243,8 @@ _CLOSED_FORM_SIDES = tuple(side for _, lhs, rhs in _elim_targets().values()
 
 # squared distances with mixed denominators up to 10^6
 _sextuples = st.builds(
-    DistSextuple, *[st.builds(Fraction, st.integers(1, 10 ** 6),
-                              st.integers(1, 10 ** 6)) for _ in range(6)])
+    DistSextuple.of, *[st.builds(Fraction, st.integers(1, 10 ** 6),
+                                 st.integers(1, 10 ** 6)) for _ in range(6)])
 
 
 @st.composite
@@ -327,7 +328,7 @@ def test_wide_inputs_evaluate_in_bounded_time():
 def test_latest_sextuple_memo_gives_fresh_values():
     rng = random.Random(29)
     a, b = (random_quad(rng, span=40, max_den=12).sextuple() for _ in range(2))
-    a_copy = DistSextuple(*a.as_tuple())
+    a_copy = DistSextuple.of(*a.as_tuple())
     assert a_copy == a and a_copy is not a
     polys = [condition_poly(n) for n in CONDITION_NAMES] + list(
         _CLOSED_FORM_SIDES)
@@ -357,6 +358,6 @@ def test_each_class_radicand_is_factored_once_per_sextuple(monkeypatch):
     values = [eval_poly_on_sextuple(p, a) for p in polys]
     assert seen and len(seen) == len(set(seen))
     n_seen = len(seen)
-    assert [eval_poly_on_sextuple(p, DistSextuple(*a.as_tuple()))
+    assert [eval_poly_on_sextuple(p, DistSextuple.of(*a.as_tuple()))
             for p in polys] == values
     assert len(seen) == n_seen

@@ -5,7 +5,7 @@ import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -287,16 +287,18 @@ def test_distinct_matches_point_inequality_on_unreduced_inputs():
     assert QuadConfig.of(("1/2", 0), ("2/3", 0), (1, 1), (2, 2)).distinct()
 
 
+_DRAWS = (lambda r: gen_cyclic(r, r.choice(("ABCD", "ACBD", "ADCB"))),
+          gen_folded, gen_reflected, gen_tilted_kite,
+          lambda r: gen_tilted_kite(r, convex=False),
+          gen_collinear_inorder, random_quad,
+          lambda r: random_quad(r, span=100, max_den=30))
+
+
 def test_every_configuration_holds_its_one_reduced_encoding():
     # rebuilt from its Fraction points, each generated configuration is the
     # same value: its integer points and scale share no factor
     rng = random.Random(27)
-    draws = (lambda r: gen_cyclic(r, r.choice(("ABCD", "ACBD", "ADCB"))),
-             gen_folded, gen_reflected, gen_tilted_kite,
-             lambda r: gen_tilted_kite(r, convex=False),
-             gen_collinear_inorder, random_quad,
-             lambda r: random_quad(r, span=100, max_den=30))
-    for draw in draws:
+    for draw in _DRAWS:
         for _ in range(25):
             cfg = draw(rng)
             assert QuadConfig.of(*cfg.points()) == cfg
@@ -318,6 +320,33 @@ def test_every_configuration_holds_its_one_reduced_encoding():
             reflect_over_line(cfg, vertex, ("B", "D"))
 
 
+def test_every_sextuple_holds_its_one_reduced_encoding():
+    # rebuilt from its Fraction entries, each generated configuration's
+    # sextuple is the same value: its integer entries and scale share no
+    # factor
+    rng = random.Random(28)
+    for draw in _DRAWS:
+        for _ in range(25):
+            d = draw(rng).sextuple()
+            assert gcd(d.int_scale, *d.int_q) == 1
+            assert DistSextuple.of(*d.as_tuple()) == d
+    d = DistSextuple((2, 4, 6, 8, 10, 12), 4)
+    assert (d.int_q, d.int_scale) == ((1, 2, 3, 4, 5, 6), 2)
+    assert d == DistSextuple.of("1/2", 1, "3/2", 2, "5/2", 3)
+    assert d.as_tuple() == (d.qa, d.qb, d.qc, d.qd, d.qe, d.qf) == tuple(
+        Fraction(q, 2) for q in range(1, 7))
+    with pytest.raises(GeometryError, match="scale must be >= 1"):
+        DistSextuple((1, 1, 1, 1, 1, 1), 0)
+    for zero in (lambda: DistSextuple((1, 1, 0, 1, 1, 1), 1),
+                 lambda: DistSextuple.of(1, 1, 0, 1, 1, 1)):
+        with pytest.raises(GeometryError, match="squared distance qc must"):
+            zero()
+    for bad in (True, 1.5):
+        with pytest.raises(GeometryError, match="squared distance qb .* not "
+                           "exact"):
+            DistSextuple.of(1, bad, 1, 1, 1, 1)
+
+
 # -- determinants ---------------------------------------------------------------
 
 def test_cayley_menger_planar_zero():
@@ -327,8 +356,8 @@ def test_cayley_menger_planar_zero():
 
 
 def test_cayley_menger_regular_tetrahedron():
-    assert cayley_menger(DistSextuple(1, 1, 1, 1, 1, 1)) == 4  # 288/72
-    assert cayley_menger(DistSextuple(4, 4, 4, 4, 4, 4)) == 256  # scales as L^6
+    assert cayley_menger(DistSextuple.of(1, 1, 1, 1, 1, 1)) == 4  # 288/72
+    assert cayley_menger(DistSextuple.of(4, 4, 4, 4, 4, 4)) == 256  # scales as L^6
 
 
 def test_cayley_menger_scaling_law():
@@ -336,8 +365,8 @@ def test_cayley_menger_scaling_law():
     for _ in range(30):
         qs = [Fraction(rng.randint(1, 50), rng.randint(1, 6)) for _ in range(6)]
         lam = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        cm1 = cayley_menger(DistSextuple(*qs))
-        cm2 = cayley_menger(DistSextuple(*[lam * q for q in qs]))
+        cm1 = cayley_menger(DistSextuple.of(*qs))
+        cm2 = cayley_menger(DistSextuple.of(*[lam * q for q in qs]))
         assert cm2 == lam ** 3 * cm1
 
 
@@ -376,16 +405,17 @@ def test_integer_determinants_match_fraction_cofactor_reference():
 
     for _ in range(200):
         qs = [q() for _ in range(6)]
-        assert cayley_menger(DistSextuple(*qs)) == _cm_reference(*qs)
+        assert cayley_menger(DistSextuple.of(*qs)) == _cm_reference(*qs)
         cfg = QuadConfig.of(*(Point(q() - q(), q() - q()) for _ in range(4)))
         assert cocircularity(cfg) == _cocircularity_reference(cfg)
         assert cayley_menger(cfg.sextuple()) == 0
     # DistSextuple refuses a zero entry, but the determinant is defined
-    # there: a stand-in with the same as_tuple reaches it
+    # there: a stand-in with the same int_q and int_scale reaches it
     for _ in range(20):
         qs = [Fraction(0)] + [q() for _ in range(5)]
         rng.shuffle(qs)
-        stub = SimpleNamespace(as_tuple=lambda qs=tuple(qs): qs)
+        s = lcm(*(x.denominator for x in qs))
+        stub = SimpleNamespace(int_q=[int(x * s) for x in qs], int_scale=s)
         assert cayley_menger(stub) == _cm_reference(*qs)
     # collinear points: on one line, both determinants vanish
     for _ in range(20):
@@ -404,7 +434,7 @@ def test_midpoint_distances_square():
 
 
 def test_midpoint_distances_regular_tetrahedron():
-    assert midpoint_distances(DistSextuple(1, 1, 1, 1, 1, 1)) == \
+    assert midpoint_distances(DistSextuple.of(1, 1, 1, 1, 1, 1)) == \
         (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
 
@@ -421,22 +451,23 @@ def test_midpoint_distances_against_coordinates():
 
 def test_midpoint_distances_unrealizable():
     with pytest.raises(GeometryError):
-        midpoint_distances(DistSextuple(1, 1, 1, 1, 100, 1))
+        midpoint_distances(DistSextuple.of(1, 1, 1, 1, 100, 1))
 
 
 def test_sextuple_requires_positive():
     with pytest.raises(GeometryError):
-        DistSextuple(0, 1, 1, 1, 1, 1)
+        DistSextuple.of(0, 1, 1, 1, 1, 1)
 
 
 # -- reflections ---------------------------------------------------------------------
 
 def test_reflect_rectangle_example():
     folded = reflect_over_line(RECT34, "D", ("A", "C"))
-    assert folded.D == Point(Fraction(72, 25), Fraction(-21, 25))
-    assert sqdist(folded.D, folded.A) == 9    # |D'A| = 3 preserved
-    assert sqdist(folded.D, folded.C) == 16   # |D'C| = 4 preserved
-    assert sqdist(folded.B, folded.D) == Fraction(49, 25)
+    A, B, C, D = folded.points()
+    assert D == Point(Fraction(72, 25), Fraction(-21, 25))
+    assert sqdist(D, A) == 9    # |D'A| = 3 preserved
+    assert sqdist(D, C) == 16   # |D'C| = 4 preserved
+    assert sqdist(B, D) == Fraction(49, 25)
 
 
 def test_reflection_is_involution():
@@ -450,7 +481,8 @@ def test_reflection_is_involution():
 
 def test_reflection_fixes_points_on_line():
     cfg = QuadConfig.of((0, 0), (1, 0), (2, 0), (1, 1))
-    assert reflect_over_line(cfg, "C", ("A", "B")).C == cfg.C
+    moved = reflect_over_line(cfg, "C", ("A", "B"))
+    assert moved.points()[2] == cfg.points()[2]
 
 
 def _reference_reflect_point(p, l1, l2):
@@ -666,7 +698,7 @@ def test_config_json_round_trip():
 
 
 def test_sextuple_json_round_trip():
-    d = DistSextuple(16, 9, 16, 9, 25, Fraction(49, 25))
+    d = DistSextuple.of(16, 9, 16, 9, 25, Fraction(49, 25))
     obj = sextuple_to_obj(d)
     assert obj["qf"] == "49/25"
     assert sextuple_from_obj(obj) == d
