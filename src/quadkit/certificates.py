@@ -44,7 +44,7 @@ DEFAULT_TIMEOUT = 600.0
 
 @dataclass
 class Certificate:
-    """Re-runnable record of one certified claim."""
+    """Record of one certified claim, re-runnable by any CAS from its texts."""
 
     claim: str
     description: str

@@ -170,14 +170,18 @@ _FAMILIES = ("cyclic", "tilted_kite", "folded", "reflected")
 
 
 def cmd_generate(args) -> int:
-    conditions.run_self_check()
     if args.count < 1:
         raise CliError("--count must be >= 1")
+    if args.order is not None and args.family != "cyclic":
+        raise CliError("--order applies only to the cyclic family")
+    if args.concave and args.family != "tilted_kite":
+        raise CliError("--concave applies only to the tilted_kite family")
+    conditions.run_self_check()
     import random
     rng = random.Random(args.seed)
     for i in range(args.count):
         if args.family == "cyclic":
-            cfg = gen_cyclic(rng, args.order)
+            cfg = gen_cyclic(rng, args.order or "ABCD")
         elif args.family == "tilted_kite":
             cfg = gen_tilted_kite(rng, convex=not args.concave)
         elif args.family == "folded":
@@ -246,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("family", choices=_FAMILIES)
     g.add_argument("--count", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--order", default="ABCD",
-                   help="cyclic order for the cyclic family")
+    g.add_argument("--order", help="cyclic family: vertex order (default ABCD)")
     g.add_argument("--concave", action="store_true",
                    help="tilted_kite family: request concave instances")
     g.add_argument("--format", choices=("json",), default="json")

@@ -30,35 +30,32 @@ IDENTITY_NAMES = ("I1", "I2", "I3", "IT", "IT_S1", "IT_S2",
                   "I5a", "I5b", "SYM1", "SYM2", "IG")
 
 
-def _pp(text: str) -> Polynomial:
-    return Polynomial.parse(text, DIST_VARS)
-
-
 @lru_cache(maxsize=1)
 def _conditions() -> dict[str, Polynomial]:
+    a, b, c, d, e, f = Polynomial.variables(DIST_VARS)
     table = {
-        "P": _pp("a*c + b*d - e*f"),
-        "Q": _pp("a*c + b*d + e*f"),
-        "S": _pp("e*(a*b + c*d) - f*(a*d + b*c)"),
-        "K": _pp("e^2*(a*b + c*d) - (a^2 + b^2)*c*d - (c^2 + d^2)*a*b"),
-        "R": _pp("(b*c + a*d)^2 - e^2*(a^2 + b^2 + c^2 + d^2 - e^2 - f^2)"),
-        "W": _pp("a*c*(-a^2 - c^2 + b^2 + d^2 + e^2 + f^2)"
-                 " + b*d*(a^2 + c^2 - b^2 - d^2 + e^2 + f^2)"
-                 " - e*f*(a^2 + c^2 + b^2 + d^2 - e^2 - f^2)"),
-        "P_T": _pp("a*c - b*d + e*f"),
-        "Q_T": _pp("a*c - b*d - e*f"),
-        "R_T": _pp("(a*b - c*d)^2 - f^2*(a^2 + b^2 + c^2 + d^2 - e^2 - f^2)"),
-        "K_T": _pp("f^2*(b*c - a*d) - b*c*(a^2 + d^2) + a*d*(b^2 + c^2)"),
-        "S_T": _pp("f*(b*c - a*d) - e*(c*d - a*b)"),
-        "W_T": _pp("a*c*(-a^2 + b^2 - c^2 + d^2 + e^2 + f^2)"
-                   " - b*d*(a^2 - b^2 + c^2 - d^2 + e^2 + f^2)"
-                   " + e*f*(a^2 + b^2 + c^2 + d^2 - e^2 - f^2)"),
-        "K_1": _pp("(a*d + b*c)*f^2 - (a^2 + d^2)*b*c - (b^2 + c^2)*a*d"),
-        "R_1": _pp("(a*b + c*d)^2 - f^2*(a^2 + b^2 + c^2 + d^2 - e^2 - f^2)"),
-        "K_G": _pp("(a*f - c*e)*d^2 + c*e*(a^2 + f^2) - (c^2 + e^2)*a*f"),
-        "Q_G": _pp("-a*c + b*d + e*f"),
-        "R_G": _pp("(a^2 - b^2 + c^2 - d^2 + e^2 + f^2)*d^2 - (a*e - c*f)^2"),
-        "CM": det(cm_rows(*(x * x for x in Polynomial.variables(DIST_VARS)))),
+        "P": a*c + b*d - e*f,
+        "Q": a*c + b*d + e*f,
+        "S": e*(a*b + c*d) - f*(a*d + b*c),
+        "K": e**2*(a*b + c*d) - (a**2 + b**2)*c*d - (c**2 + d**2)*a*b,
+        "R": (b*c + a*d)**2 - e**2*(a**2 + b**2 + c**2 + d**2 - e**2 - f**2),
+        "W": (a*c*(-a**2 - c**2 + b**2 + d**2 + e**2 + f**2)
+              + b*d*(a**2 + c**2 - b**2 - d**2 + e**2 + f**2)
+              - e*f*(a**2 + c**2 + b**2 + d**2 - e**2 - f**2)),
+        "P_T": a*c - b*d + e*f,
+        "Q_T": a*c - b*d - e*f,
+        "R_T": (a*b - c*d)**2 - f**2*(a**2 + b**2 + c**2 + d**2 - e**2 - f**2),
+        "K_T": f**2*(b*c - a*d) - b*c*(a**2 + d**2) + a*d*(b**2 + c**2),
+        "S_T": f*(b*c - a*d) - e*(c*d - a*b),
+        "W_T": (a*c*(-a**2 + b**2 - c**2 + d**2 + e**2 + f**2)
+                - b*d*(a**2 - b**2 + c**2 - d**2 + e**2 + f**2)
+                + e*f*(a**2 + b**2 + c**2 + d**2 - e**2 - f**2)),
+        "K_1": (a*d + b*c)*f**2 - (a**2 + d**2)*b*c - (b**2 + c**2)*a*d,
+        "R_1": (a*b + c*d)**2 - f**2*(a**2 + b**2 + c**2 + d**2 - e**2 - f**2),
+        "K_G": (a*f - c*e)*d**2 + c*e*(a**2 + f**2) - (c**2 + e**2)*a*f,
+        "Q_G": -a*c + b*d + e*f,
+        "R_G": (a**2 - b**2 + c**2 - d**2 + e**2 + f**2)*d**2 - (a*e - c*f)**2,
+        "CM": det(cm_rows(a*a, b*b, c*c, d*d, e*e, f*f)),
     }
     assert tuple(table) == CONDITION_NAMES
     return table

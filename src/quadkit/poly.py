@@ -399,6 +399,8 @@ class Polynomial:
     # -- text form ------------------------------------------------------------
 
     def to_text(self, order: MonomialOrder = GREVLEX) -> str:
+        """The record form: terms largest first under `order`, single-letter
+        or [bracketed] names, integer or p/q coefficients, ^ powers."""
         if not self.terms:
             return "0"
         parts: list[str] = []
@@ -429,129 +431,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()!r})"
-
-    # -- parsing ------------------------------------------------------------
-
-    @staticmethod
-    def parse(text: str, vars: VarSet) -> "Polynomial":
-        """Parse the printable grammar: single-letter or [bracketed] variables,
-        integer or p/q coefficients, ^ powers, explicit or implicit '*'."""
-        return _Parser(text, vars).parse()
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z])|\[(?P<bname>[A-Za-z_][A-Za-z0-9_]*)\]"
-    r"|(?P<op>[-+*^()/]))"
-)
-
-
-class _Parser:
-    def __init__(self, text: str, vars: VarSet):
-        self.vars = vars
-        self.tokens: list[tuple[str, str]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ValueError(f"bad polynomial syntax at {text[pos:]!r}")
-                break
-            if m.group("num") is not None:
-                self.tokens.append(("num", m.group("num")))
-            elif m.group("name") is not None:
-                self.tokens.append(("name", m.group("name")))
-            elif m.group("bname") is not None:
-                self.tokens.append(("name", m.group("bname")))
-            else:
-                self.tokens.append(("op", m.group("op")))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial text")
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.next()
-        if tok != ("op", op):
-            raise ValueError(f"expected {op!r}, got {tok}")
-
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing tokens: {self.tokens[self.i:]}")
-        return p
-
-    def expr(self) -> Polynomial:
-        p = self.term()
-        while True:
-            tok = self.peek()
-            if tok == ("op", "+"):
-                self.next()
-                p = p + self.term()
-            elif tok == ("op", "-"):
-                self.next()
-                p = p - self.term()
-            else:
-                return p
-
-    def term(self) -> Polynomial:
-        p = self.unary()
-        while True:
-            tok = self.peek()
-            if tok == ("op", "*"):
-                self.next()
-                p = p * self.unary()
-            elif tok is not None and (tok[0] in ("num", "name")
-                                      or tok == ("op", "(")):
-                p = p * self.unary()  # implicit multiplication
-            else:
-                return p
-
-    def unary(self) -> Polynomial:
-        tok = self.peek()
-        if tok == ("op", "-"):
-            self.next()
-            return -self.unary()
-        if tok == ("op", "+"):
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Polynomial:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            kind, val = self.next()
-            if kind != "num":
-                raise ValueError("exponent must be a nonnegative integer")
-            return base ** int(val)
-        return base
-
-    def atom(self) -> Polynomial:
-        kind, val = self.next()
-        if kind == "num":
-            # rational literal p/q when '/' directly follows
-            if self.peek() == ("op", "/"):
-                self.next()
-                k2, v2 = self.next()
-                if k2 != "num":
-                    raise ValueError("expected integer denominator")
-                return Polynomial.const(self.vars, Fraction(int(val), int(v2)))
-            return Polynomial.const(self.vars, int(val))
-        if kind == "name":
-            return Polynomial.variable(self.vars, val)
-        if (kind, val) == ("op", "("):
-            p = self.expr()
-            self.expect_op(")")
-            return p
-        raise ValueError(f"unexpected token {val!r}")
 
 
 def det(rows: Sequence[Sequence]) -> object:

@@ -209,6 +209,33 @@ def test_generate_rejects_bad_count(capsys):
     assert main(["generate", "cyclic", "--count", "0"]) == 1
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["folded", "--concave"], "--concave"),
+    (["cyclic", "--concave"], "--concave"),
+    (["reflected", "--concave"], "--concave"),
+    (["tilted_kite", "--order", "ABCD"], "--order"),
+    (["folded", "--order", "ACBD"], "--order"),
+    (["reflected", "--order", "ABCD"], "--order"),
+], ids=["folded-concave", "cyclic-concave", "reflected-concave",
+        "tilted_kite-order", "folded-order", "reflected-order"])
+def test_generate_rejects_options_its_family_does_not_take(capsys, argv,
+                                                           option):
+    assert main(["generate", *argv, "--count", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and option in err
+
+
+def test_generate_cyclic_order_defaults_to_abcd(capsys):
+    assert main(["generate", "cyclic", "--count", "2", "--seed", "4"]) == 0
+    default = capsys.readouterr().out
+    assert main(["generate", "cyclic", "--order", "ABCD", "--count", "2",
+                 "--seed", "4"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["generate", "cyclic", "--order", "ACBD", "--count", "2",
+                 "--seed", "4"]) == 0
+    assert capsys.readouterr().out != default
+
+
 def test_prove_text_and_exit_codes(capsys):
     rc = main(["prove", "degenerate_R", "degenerate_RT", "--samples", "60"])
     out = capsys.readouterr().out

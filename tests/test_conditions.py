@@ -24,12 +24,46 @@ from quadkit.radicals import RadicalValue, sqrt_rational
 FOLDED_RECT = DistSextuple.of(16, 9, 16, 9, 25, Fraction(49, 25))
 
 
-def test_condition_poly_examples():
-    assert condition_poly("P") == Polynomial.parse("a*c + b*d - e*f", DIST_VARS)
-    assert condition_poly("K") == Polynomial.parse(
-        "e^2*(a*b + c*d) - (a^2 + b^2)*c*d - (c^2 + d^2)*a*b", DIST_VARS)
-    assert condition_poly("R_T") == Polynomial.parse(
-        "(a*b - c*d)^2 - f^2*(a^2 + b^2 + c^2 + d^2 - e^2 - f^2)", DIST_VARS)
+# the paper's formulas as text, read by sympy: an independent reader of the
+# rows that `conditions` writes with Polynomial operators
+PAPER_FORMULAS = {
+    "P": "a*c + b*d - e*f",
+    "Q": "a*c + b*d + e*f",
+    "S": "e*(a*b + c*d) - f*(a*d + b*c)",
+    "K": "e^2*(a*b + c*d) - (a^2 + b^2)*c*d - (c^2 + d^2)*a*b",
+    "R": "(b*c + a*d)^2 - e^2*(a^2 + b^2 + c^2 + d^2 - e^2 - f^2)",
+    "W": "a*c*(-a^2 - c^2 + b^2 + d^2 + e^2 + f^2)"
+         " + b*d*(a^2 + c^2 - b^2 - d^2 + e^2 + f^2)"
+         " - e*f*(a^2 + c^2 + b^2 + d^2 - e^2 - f^2)",
+    "P_T": "a*c - b*d + e*f",
+    "Q_T": "a*c - b*d - e*f",
+    "R_T": "(a*b - c*d)^2 - f^2*(a^2 + b^2 + c^2 + d^2 - e^2 - f^2)",
+    "K_T": "f^2*(b*c - a*d) - b*c*(a^2 + d^2) + a*d*(b^2 + c^2)",
+    "S_T": "f*(b*c - a*d) - e*(c*d - a*b)",
+    "W_T": "a*c*(-a^2 + b^2 - c^2 + d^2 + e^2 + f^2)"
+           " - b*d*(a^2 - b^2 + c^2 - d^2 + e^2 + f^2)"
+           " + e*f*(a^2 + b^2 + c^2 + d^2 - e^2 - f^2)",
+    "K_1": "(a*d + b*c)*f^2 - (a^2 + d^2)*b*c - (b^2 + c^2)*a*d",
+    "R_1": "(a*b + c*d)^2 - f^2*(a^2 + b^2 + c^2 + d^2 - e^2 - f^2)",
+    "K_G": "(a*f - c*e)*d^2 + c*e*(a^2 + f^2) - (c^2 + e^2)*a*f",
+    "Q_G": "-a*c + b*d + e*f",
+    "R_G": "(a^2 - b^2 + c^2 - d^2 + e^2 + f^2)*d^2 - (a*e - c*f)^2",
+}
+
+
+def test_condition_table_matches_the_paper_formulas():
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
+                                            standard_transformations)
+    assert set(PAPER_FORMULAS) == set(CONDITION_NAMES) - {"CM"}
+    syms = sympy.symbols(DIST_VARS.names)
+    for name, text in PAPER_FORMULAS.items():
+        expr = parse_expr(text, local_dict=dict(zip(DIST_VARS.names, syms)),
+                          transformations=standard_transformations
+                          + (convert_xor,))
+        terms = {m: Fraction(int(c)) for m, c in
+                 sympy.Poly(expr, *syms, domain="ZZ").terms()}
+        assert condition_poly(name) == Polynomial(DIST_VARS, terms), name
     with pytest.raises(ValueError):
         condition_poly("nope")
 
@@ -283,7 +317,7 @@ def test_parity_class_evaluator_matches_per_term_on_random_polys(p, d):
 
 
 def test_evaluator_rejects_foreign_variables():
-    p = Polynomial.parse("x", VarSet(("x",)))
+    p = Polynomial.variable(VarSet(("x",)), "x")
     for _ in range(2):  # a rejected polynomial is never cached
         with pytest.raises(ValueError):
             eval_poly_on_sextuple(p, FOLDED_RECT)

@@ -13,23 +13,22 @@ XY = VarSet(("x", "y"))
 XYZ = VarSet(("x", "y", "z"))
 
 
-def _p(text, vars=XY):
-    return Polynomial.parse(text, vars)
+x, y = Polynomial.variables(XY)
 
 
 # -- normal form ----------------------------------------------------------
 
 def test_normal_form_textbook():
-    assert normal_form(_p("x^2"), [_p("x")], LEX).is_zero
-    assert normal_form(_p("x^2 + y"), [_p("x")], LEX) == _p("y")
-    assert normal_form(_p("x*y + 1"), [_p("x + 1"), _p("y + 1")], LEX) == _p("2")
+    assert normal_form(x**2, [x], LEX).is_zero
+    assert normal_form(x**2 + y, [x], LEX) == y
+    assert normal_form(x*y + 1, [x + 1, y + 1], LEX) == Polynomial.const(XY, 2)
 
 
 def test_division_certificate_reexpands():
     # rational f; non-monic divisors with non-unit content exercise the
     # kernel's scale and quotient bookkeeping
     rng = random.Random(11)
-    G = [_p("2*x^2 - 4*y"), _p("x*y - 1"), _p("1/3*y - 1"), _p("6*x - 9/2")]
+    G = [2*x**2 - 4*y, x*y - 1, Fraction(1, 3)*y - 1, 6*x - Fraction(9, 2)]
     for order in (LEX, GREVLEX, MonomialOrder.block_elimination(1)):
         for _ in range(25):
             terms = {(rng.randint(0, 4), rng.randint(0, 4)):
@@ -49,8 +48,8 @@ def test_division_certificate_reexpands():
 
 
 def test_normal_form_deterministic_in_sequence():
-    f = _p("x^2*y")
-    g1, g2 = _p("x^2"), _p("x*y")
+    f = x**2*y
+    g1, g2 = x**2, x*y
     # first listed divisor wins; both orders still end at remainder 0 here
     assert normal_form(f, [g1, g2], LEX).is_zero
     q1, _ = divmod_multi(f, [g1, g2], LEX)
@@ -62,23 +61,23 @@ def test_normal_form_deterministic_in_sequence():
 # -- buchberger -----------------------------------------------------------
 
 def test_linear_span():
-    gb = buchberger([_p("x + y"), _p("x - y")], LEX)
+    gb = buchberger([x + y, x - y], LEX)
     assert gb.texts() == ["x", "y"]
 
 
 def test_circle_line():
-    gb = buchberger([_p("x^2 + y^2 - 1"), _p("x - y")], LEX)
+    gb = buchberger([x**2 + y**2 - 1, x - y], LEX)
     assert gb.texts() == ["x - y", "y^2 - 1/2"]
 
 
 def test_single_generator_is_its_own_basis():
     for order in (LEX, GREVLEX):
-        gb = buchberger([_p("x^2")], order)
+        gb = buchberger([x**2], order)
         assert gb.texts() == ["x^2"]
 
 
 def test_unit_ideal_short_circuits():
-    gb = buchberger([_p("x"), _p("x + 1")], GREVLEX)
+    gb = buchberger([x, x + 1], GREVLEX)
     assert gb.is_unit()
 
 
@@ -88,12 +87,11 @@ def test_zero_generators_only():
 
 
 def test_spolys_of_basis_reduce_to_zero():
+    u, v, w = Polynomial.variables(XYZ)
     ideals = [
-        [_p("x^2 + y^2 - 1"), _p("x*y - 2")],
-        [_p("x^3 - 2*x*y"), _p("x^2*y + x - 2*y^2")],
-        [Polynomial.parse("x + y + z", XYZ),
-         Polynomial.parse("x*y + y*z + z*x", XYZ),
-         Polynomial.parse("x*y*z - 1", XYZ)],
+        [x**2 + y**2 - 1, x*y - 2],
+        [x**3 - 2*x*y, x**2*y + x - 2*y**2],
+        [u + v + w, u*v + v*w + w*u, u*v*w - 1],
     ]
     for gens in ideals:
         order = GREVLEX
@@ -107,9 +105,9 @@ def test_spolys_of_basis_reduce_to_zero():
 
 def test_reduced_basis_unique_under_shuffles():
     rng = random.Random(3)
-    for texts in (("x + y + z", "x*y + y*z + z*x", "x*y*z - 1"),
-                  ("x^2 + y - z", "x*z - y^2", "y^3 - x")):
-        gens = [Polynomial.parse(t, XYZ) for t in texts]
+    x, y, z = Polynomial.variables(XYZ)
+    for gens in ([x + y + z, x*y + y*z + z*x, x*y*z - 1],
+                 [x**2 + y - z, x*z - y**2, y**3 - x]):
         for order in (GREVLEX, LEX):
             gb = buchberger(gens, order)
             for _ in range(6):
@@ -128,8 +126,8 @@ def test_reduced_basis_unique_under_shuffles():
 
 
 def test_original_generators_reduce_to_zero():
-    gens = [Polynomial.parse(t, XYZ) for t in
-            ("x^2 + y - z", "x*z - y^2", "y^3 - x")]
+    x, y, z = Polynomial.variables(XYZ)
+    gens = [x**2 + y - z, x*z - y**2, y**3 - x]
     gb = buchberger(gens, GREVLEX)
     for g in gens:
         assert normal_form(g, gb.generators, GREVLEX).is_zero
@@ -137,10 +135,10 @@ def test_original_generators_reduce_to_zero():
 
 def test_timeout_raises():
     V = VarSet(tuple("abcdefuvwz") + ("t",))
-    gens = [Polynomial.parse(s, V) for s in (
-        "(u-a)^2 + v^2 - b^2", "(w-u)^2 + (z-v)^2 - c^2", "w^2 + z^2 - d^2",
-        "u^2 + v^2 - e^2", "(w-a)^2 + z^2 - f^2", "a*c + b*d - e*f",
-        "a*v*(u*z - v*w) - t")]
+    a, b, c, d, e, f, u, v, w, z, t = Polynomial.variables(V)
+    gens = [(u - a)**2 + v**2 - b**2, (w - u)**2 + (z - v)**2 - c**2,
+            w**2 + z**2 - d**2, u**2 + v**2 - e**2, (w - a)**2 + z**2 - f**2,
+            a*c + b*d - e*f, a*v*(u*z - v*w) - t]
     with pytest.raises(GroebnerTimeout):
         elimination_ideal(gens, ["e", "f", "u", "v", "w", "z"], timeout=0.25)
 
@@ -149,11 +147,12 @@ def test_timeout_raises():
 
 def test_parabola_elimination_and_samples():
     V = VarSet(("t", "x", "y"))
-    gens = [Polynomial.parse("x - t", V), Polynomial.parse("y - t^2", V)]
+    t, x, y = Polynomial.variables(V)
+    gens = [x - t, y - t**2]
     out = elimination_ideal(gens, ["t"])
     assert len(out) == 1
     rel = out[0]
-    assert rel.monic(GREVLEX) == Polynomial.parse("x^2 - y", VarSet(("x", "y")))
+    assert rel.monic(GREVLEX) == (x**2 - y).on_vars(XY)
     rng = random.Random(7)
     for _ in range(1000):
         t = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
@@ -161,12 +160,12 @@ def test_parabola_elimination_and_samples():
 
 
 def test_circle_elimination():
-    out = elimination_ideal([_p("x^2 + y^2 - 1"), _p("x - y")], ["x"])
+    out = elimination_ideal([x**2 + y**2 - 1, x - y], ["x"])
     assert [p.to_text(LEX) for p in out] == ["y^2 - 1/2"]
 
 
 def test_elimination_requires_valid_order():
-    gens = [_p("x^2 + y^2 - 1")]
+    gens = [x**2 + y**2 - 1]
     with pytest.raises(ValueError):
         elimination_ideal(gens, ["nope"])
 
@@ -174,14 +173,14 @@ def test_elimination_requires_valid_order():
 # -- membership -------------------------------------------------------------
 
 def test_ideal_membership_textbook():
-    assert ideal_membership(_p("x^2 - 1"), [_p("x - 1"), _p("x + 1")])
-    assert not ideal_membership(_p("x"), [_p("x^2")])
+    assert ideal_membership(x**2 - 1, [x - 1, x + 1])
+    assert not ideal_membership(x, [x**2])
 
 
 def test_membership_in_zero_ideal():
     zero = Polynomial.zero(XY)
     assert ideal_membership(zero, [zero])
-    assert not ideal_membership(_p("x"), [zero])
+    assert not ideal_membership(x, [zero])
 
 
 def test_identity_combination_lies_in_zero_ideal():
@@ -193,14 +192,14 @@ def test_identity_combination_lies_in_zero_ideal():
 
 
 def test_radical_membership_textbook():
-    assert radical_membership(_p("x"), [_p("x^2")])
-    assert not radical_membership(_p("y"), [_p("x")])
+    assert radical_membership(x, [x**2])
+    assert not radical_membership(y, [x])
 
 
 def test_radical_membership_vanishing_points():
     # f in the radical means f vanishes wherever the generators do
-    g = _p("(x - y)^2")
-    f = _p("x - y")
+    g = (x - y)**2
+    f = x - y
     assert radical_membership(f, [g])
     rng = random.Random(13)
     for _ in range(100):
@@ -210,8 +209,8 @@ def test_radical_membership_vanishing_points():
 
 def test_radical_membership_slack_name_fresh():
     V = VarSet(("t", "x"))
-    f = Polynomial.parse("x", V)
-    g = Polynomial.parse("x^2", V)
+    f = Polynomial.variable(V, "x")
+    g = f**2
     assert radical_membership(f, [g])
 
 
@@ -223,11 +222,11 @@ def test_radical_membership_past_the_square_takes_the_fallback(monkeypatch):
     real = groebner.rabinowitsch
     monkeypatch.setattr(groebner, "rabinowitsch",
                         lambda f, gens: slack.append(f) or real(f, gens))
-    assert not ideal_membership(_p("x^2"), [_p("x^3")])
-    assert radical_membership(_p("x"), [_p("x^3")])
-    assert slack == [_p("x")]
-    assert radical_membership(_p("x"), [_p("x^2")])
-    assert slack == [_p("x")]
+    assert not ideal_membership(x**2, [x**3])
+    assert radical_membership(x, [x**3])
+    assert slack == [x]
+    assert radical_membership(x, [x**2])
+    assert slack == [x]
 
 
 def test_radical_membership_matches_the_rabinowitsch_basis():
@@ -273,11 +272,11 @@ def test_radical_membership_fallback_gets_the_budget_left(monkeypatch):
 
     monkeypatch.setattr(groebner, "buchberger", capture)
     monkeypatch.setattr(groebner, "_power_in", slow)
-    assert radical_membership(_p("x"), [_p("x^3")], timeout=10)
-    assert radical_membership(_p("x"), [_p("x^3")])
+    assert radical_membership(x, [x**3], timeout=10)
+    assert radical_membership(x, [x**3])
     assert 0 < budgets[0] <= 9.8 and budgets[1] is None
     with pytest.raises(GroebnerTimeout):
-        radical_membership(_p("x"), [_p("x^3")], timeout=0.1)
+        radical_membership(x, [x**3], timeout=0.1)
 
 
 # -- packed monomials ---------------------------------------------------------
@@ -306,23 +305,22 @@ def test_exponents_beyond_initial_field_width():
     # values); x - y^20000 fits but its S-polynomial product y^40000 does
     # not, nor do the reduction products y^60000 and y^90000 below: each
     # restarts at a wider field
-    gens = [_p("x^70000 - y"), _p("y^2 - 1")]
-    f = _p("x^140001 + y^3")
+    gens = [x**70000 - y, y**2 - 1]
+    f = x**140001 + y**3
     for order in (LEX, MonomialOrder.block_elimination(1)):
         assert buchberger(gens, order).texts() == ["x^70000 - y", "y^2 - 1"]
-        assert normal_form(f, gens, order) == _p("x + y")
+        assert normal_form(f, gens, order) == x + y
         qs, r = divmod_multi(f, gens, order)
-        assert qs == [_p("x^70001 + x*y"), _p("x + y")] and r == _p("x + y")
-        gb = buchberger([_p("x - y^20000"), _p("x*y^20000 - 1")], order)
+        assert qs == [x**70001 + x*y, x + y] and r == x + y
+        gb = buchberger([x - y**20000, x*y**20000 - 1], order)
         assert gb.texts() == ["x - y^20000", "y^40000 - 1"]
-        assert normal_form(_p("x^3"), [_p("x - y^30000")], order) == \
-            _p("y^90000")
+        assert normal_form(x**3, [x - y**30000], order) == y**90000
     # the S-polynomial guard fires before any product is formed
     from quadkit.groebner import (_Gen, _int_terms, _Overflow, _Packing,
                                   _spoly_int)
     pk = _Packing(LEX, 2, 16)
-    a, b = (_Gen(_int_terms(_p(t), pk)[0])
-            for t in ("x - y^20000", "x*y^20000 - 1"))
+    a, b = (_Gen(_int_terms(g, pk)[0])
+            for g in (x - y**20000, x*y**20000 - 1))
     with pytest.raises(_Overflow):
         _spoly_int(a, b, b.lt, pk.guard)
 
@@ -333,8 +331,8 @@ def test_square_beyond_initial_field_width(monkeypatch):
     # square reduces to 0 modulo x^30000 with no Rabinowitsch ideal
     import quadkit.groebner as groebner
     monkeypatch.setattr(groebner, "rabinowitsch", None)
-    assert radical_membership(_p("x^20000"), [_p("x^30000")])
-    assert not ideal_membership(_p("x^20000"), [_p("x^30000")])
+    assert radical_membership(x**20000, [x**30000])
+    assert not ideal_membership(x**20000, [x**30000])
 
 
 def test_names_the_benchmark_tracer_wraps_exist(monkeypatch):

@@ -29,23 +29,24 @@ def test_difference_of_squares():
 
 
 def test_additive_identity():
-    p = Polynomial.parse("3*x^2 - y + 1/2", XY)
+    x, y = Polynomial.variables(XY)
+    p = 3*x**2 - y + Fraction(1, 2)
     assert p + Polynomial.zero(XY) == p
     assert Polynomial.zero(XY) + p == p
 
 
 def test_ptolemy_product_expansion():
     # (ac+bd-ef)(ac+bd+ef) expanded by hand
-    p = Polynomial.parse("a*c + b*d - e*f", ABCDEF)
-    q = Polynomial.parse("a*c + b*d + e*f", ABCDEF)
-    expected = Polynomial.parse(
-        "a^2*c^2 + 2*a*b*c*d + b^2*d^2 - e^2*f^2", ABCDEF)
+    a, b, c, d, e, f = Polynomial.variables(ABCDEF)
+    p = a*c + b*d - e*f
+    q = a*c + b*d + e*f
+    expected = a**2*c**2 + 2*a*b*c*d + b**2*d**2 - e**2*f**2
     assert p * q == expected
 
 
 def test_varset_mismatch_errors():
-    p = Polynomial.parse("x + y", XY)
-    q = Polynomial.parse("a", ABCDEF)
+    p = _v(XY, "x") + _v(XY, "y")
+    q = _v(ABCDEF, "a")
     with pytest.raises(ValueError):
         p + q
     with pytest.raises(ValueError):
@@ -93,11 +94,12 @@ def test_hash_agrees_with_equality():
 
 def test_leading_monomials_per_order():
     # x^2*y vs x*y^2 vs y^3: grevlex and grlex tie-break differently from lex
-    p = Polynomial.parse("x*y^2 + x^2*y + y^3 + x", XY)
+    x, y = Polynomial.variables(XY)
+    p = x*y**2 + x**2*y + y**3 + x
     assert p.leading_monomial(LEX) == (2, 1)
     assert p.leading_monomial(MonomialOrder.grlex()) == (2, 1)
     assert p.leading_monomial(GREVLEX) == (2, 1)
-    q = Polynomial.parse("x*y^2 + y^3", XY)
+    q = x*y**2 + y**3
     assert q.leading_monomial(GREVLEX) == (1, 2)
 
 
@@ -125,43 +127,15 @@ def test_order_is_multiplicative_and_well_founded():
                 assert order.key(u) > order.key(one)
 
 
-def test_parse_print_round_trip_examples():
-    texts = [
-        "a*c + b*d - e*f",
-        "1/2*a^2 - 3*b*c + 7",
-        "-a + 2/3",
-        "0",
-        "e^2*(a*b + c*d) - (a^2 + b^2)*c*d - (c^2 + d^2)*a*b",
-    ]
-    for text in texts:
-        p = Polynomial.parse(text, ABCDEF)
-        assert Polynomial.parse(p.to_text(), ABCDEF) == p
-        assert Polynomial.parse(p.to_text(LEX), ABCDEF) == p
-
-
-def test_parse_bracketed_names_and_implicit_mult():
-    V = VarSet(("x", "eta"))
-    p = Polynomial.parse("2x*[eta]^2 - [eta]", V)
-    x, eta = Polynomial.variables(V)
-    assert p == 2 * x * eta ** 2 - eta
-    assert Polynomial.parse(p.to_text(), V) == p
-
-
-def test_parse_rejects_garbage():
-    for bad in ("x +", "(x", "x ^ y", "x**2", "[unclosed"):
-        with pytest.raises(ValueError):
-            Polynomial.parse(bad, XY)
-
-
 @st.composite
-def _polys(draw):
+def _polys(draw, vars=XY):
     n_terms = draw(st.integers(0, 6))
     terms = {}
     for _ in range(n_terms):
-        mono = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        mono = tuple(draw(st.integers(0, 3)) for _ in vars)
         coeff = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
         terms[mono] = terms.get(mono, 0) + coeff
-    return Polynomial(XY, terms)
+    return Polynomial(vars, terms)
 
 
 @settings(max_examples=120, deadline=None)
@@ -174,26 +148,78 @@ def test_ring_axioms(p, q, r):
     assert (p - q) + q == p
 
 
+def _read_by_sympy(text, vars, implicit=False):
+    # an independent reader of the record form: brackets dropped, ^ as power;
+    # returns the terms as Polynomial holds them
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (
+        convert_xor, implicit_multiplication, parse_expr,
+        standard_transformations)
+    syms = sympy.symbols(vars.names)
+    extra = (convert_xor, implicit_multiplication) if implicit \
+        else (convert_xor,)
+    expr = parse_expr(text.replace("[", "").replace("]", ""),
+                      local_dict=dict(zip(vars.names, syms)),
+                      transformations=standard_transformations + extra)
+    read = sympy.Poly(expr, *syms, domain="QQ")
+    return {m: Fraction(int(c.numerator), int(c.denominator))
+            for m, c in read.terms() if c}
+
+
+def test_parse_print_round_trip_examples():
+    # the same texts the operators build are printed exactly: sympy reads
+    # each literal and its printed form to the same terms
+    a, b, c, d, e, f = Polynomial.variables(ABCDEF)
+    cases = [
+        ("a*c + b*d - e*f", a*c + b*d - e*f),
+        ("1/2*a^2 - 3*b*c + 7", Fraction(1, 2)*a**2 - 3*b*c + 7),
+        ("-a + 2/3", -a + Fraction(2, 3)),
+        ("0", Polynomial.zero(ABCDEF)),
+        ("e^2*(a*b + c*d) - (a^2 + b^2)*c*d - (c^2 + d^2)*a*b",
+         e**2*(a*b + c*d) - (a**2 + b**2)*c*d - (c**2 + d**2)*a*b),
+    ]
+    for text, p in cases:
+        assert _read_by_sympy(text, ABCDEF) == p.terms, text
+        assert _read_by_sympy(p.to_text(), ABCDEF) == p.terms, text
+        assert _read_by_sympy(p.to_text(LEX), ABCDEF) == p.terms, text
+
+
+def test_parse_bracketed_names_and_implicit_mult():
+    # names longer than one letter print in brackets
+    V = VarSet(("x", "eta"))
+    x, eta = Polynomial.variables(V)
+    p = 2 * x * eta ** 2 - eta
+    assert p.to_text() == "2*x*[eta]^2 - [eta]"
+    assert _read_by_sympy("2x*[eta]^2 - [eta]", V, implicit=True) == p.terms
+    assert _read_by_sympy(p.to_text(), V) == p.terms
+
+
 @settings(max_examples=80, deadline=None)
-@given(_polys())
+@given(_polys(VarSet(("x", "eta", "y"))))
 def test_text_round_trip(p):
-    assert Polynomial.parse(p.to_text(), XY) == p
+    # the record form is exact under every order: read back, the text has
+    # exactly the same terms
+    for order in (GREVLEX, LEX):
+        text = p.to_text(order)
+        assert _read_by_sympy(text, p.vars) == p.terms, (text, order)
 
 
 def test_evaluate_rational_and_generic():
-    p = Polynomial.parse("x^2*y - 3*x + 1/2", XY)
+    x, y = Polynomial.variables(XY)
+    p = x**2*y - 3*x + Fraction(1, 2)
     val = p.evaluate({"x": Fraction(2), "y": Fraction(-1)})
     assert val == Fraction(-4) - 6 + Fraction(1, 2)
 
 
 def test_on_vars_embedding_and_projection():
-    p = Polynomial.parse("x^2 - y", XY)
+    x, y = Polynomial.variables(XY)
+    p = x**2 - y
     big = VarSet(("t", "x", "y"))
     q = p.on_vars(big)
     assert q.to_text() == p.to_text()
     assert q.on_vars(XY) == p
     with pytest.raises(ValueError):
-        Polynomial.parse("t", big).on_vars(XY)
+        _v(big, "t").on_vars(XY)
 
 
 def test_det_small_matrices():
