@@ -637,8 +637,8 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
     P_T * Q_T * R_T = K_T**2 = 0: with A and C on one side of BD the draw is
     cyclic (P_T * Q_T = 0), so an integer side test rejects it, and K_T and
     then R_T are asserted once on the kite returned.
-    Directions are integer triples (x, y, w) for (x/w, y/w), w > 0, so a
-    draw builds no Fraction until it passes the side tests."""
+    Directions are integer triples (x, y, w) for (x/w, y/w), w > 0, and A to
+    D integer points over the scale cd * |den1 * den2|: no Fraction."""
     want = "convex4" if convex else "concave3"
     randint = rng.randint
     while True:
@@ -658,10 +658,10 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
         (_, ay1, qy1, den1), (_, ay2, qy2, den2) = lines
         if qy1 * den1 * qy2 * den2 <= 0 or ay1 * den1 * ay2 * den2 <= 0:
             continue
-        B, D = ((Fraction(-cn * qy * ax, cd * den),
-                 Fraction(-cn * qy * ay, cd * den))
+        n = abs(den1 * den2)
+        B, D = ((-cn * n // den * qy * ax, -cn * n // den * qy * ay)
                 for ax, ay, qy, den in lines)
-        cfg = QuadConfig.of((0, 0), B, (Fraction(cn, cd), 0), D)
+        cfg = QuadConfig(((0, 0), B, (cn * n, 0), D), cd * n)
         if (not cfg.distinct() or classify_hull(cfg).kind != want
                 or cfg.cross("BDA") * cfg.cross("BDC") >= 0):
             continue

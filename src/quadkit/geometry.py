@@ -470,9 +470,10 @@ def random_quad(seed_or_rng, span: int = 40, max_den: int = 4) -> QuadConfig:
 # ---------------------------------------------------------------------------
 
 def config_to_obj(cfg: QuadConfig) -> dict:
-    s = cfg.int_scale
-    return {label: [str(Fraction(x, s)), str(Fraction(y, s))]
-            for label, (x, y) in zip("ABCD", cfg.int_points)}
+    s = cfg.int_scale  # each text is str(Fraction(x, s)), from one gcd
+    texts = [f"{x // g}/{s // g}" if (g := gcd(x, s)) != s else str(x // g)
+             for p in cfg.int_points for x in p]
+    return {label: texts[i:i + 2] for label, i in zip("ABCD", range(0, 8, 2))}
 
 
 def config_from_obj(obj) -> QuadConfig:

@@ -2,11 +2,13 @@
 ideal/radical membership tests.
 
 Radical membership (f in the radical of I = <gens>) runs under one deadline.
-f reduces to r on the pair loop's unreduced grevlex basis of I; if r or r^2,
-squared on the packed integer terms, reduces to 0, f or f^2 lies in I.  Else
-the Rabinowitsch ideal <I, 1 - t*f> gets the budget left, and only its
-complete reduced basis says False.  It is the unit ideal in both cases, as
-1 = (1 - t*f)(1 + t*f) + t^2*f^2.
+The grevlex pair loop of I stops as soon as f or the square of its remainder
+reduces to 0 modulo the elements so far, all in I.  For a homogeneous I its
+basis after degree d is a Groebner basis up to degree d (Becker and
+Weispfenning 1993), so a member of degree d needs no pair above d.  If the
+complete basis says neither lies in I, the Rabinowitsch ideal <I, 1 - t*f>
+gets the budget left, and only its complete reduced basis says False.  It is
+the unit ideal in both cases, as 1 = (1 - t*f)(1 + t*f) + t^2*f^2.
 
 All reduction runs through one fraction-free kernel, `_reduce_int`: the
 polynomial being reduced is held with integer coefficients and
@@ -347,9 +349,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
 
 
 def _buchberger(gens: list[Polynomial], order: MonomialOrder, pk: _Packing,
-                deadline) -> list[_Gen]:
+                deadline, enough=None) -> list[_Gen]:
     """The pair loop of `buchberger` at one packing: an unreduced Groebner
-    basis of <gens>, or [c] as soon as a reduction gives a constant c."""
+    basis of <gens>, or [c] as soon as a reduction gives a constant c.  A
+    pair is held under its lcm degree (its sugar under lex and block orders).
+    A test `enough(basis, first_new, below)` is called, if given, before a
+    pair of degree above the last call's `below` is taken, if elements were
+    added since: then all pairs of degree < below are done.  At its first
+    True the loop returns the basis so far."""
     basis = [_Gen(_int_terms(g, pk)[0]) for g in gens]
     by_sugar = order.kind in ("lex", "block")
     guard, dguard = pk.guard, pk.dguard
@@ -364,15 +371,21 @@ def _buchberger(gens: list[Polynomial], order: MonomialOrder, pk: _Packing,
         for i in range(t):
             e_i, x_i = lead[i]
             L = tuple(map(max, e_i, e_t))
-            s = max(x_i, x_t) + sum(L) if by_sugar else 0
+            s = sum(L) + (max(x_i, x_t) if by_sugar else 0)
             heapq.heappush(pairs, (s, pk.pack(L), i, t))
             pending.add((i, t))
 
     for t, g in enumerate(gens):
         push_pairs(t, max(map(sum, g.terms)))  # an input's sugar: its degree
 
+    seen = below = 0  # what `enough` was last given
     while pairs:
         _check_deadline(deadline)
+        if enough and len(basis) > seen and pairs[0][0] > below:
+            below = pairs[0][0]
+            if enough(basis, seen, below):
+                return basis
+            seen = len(basis)
         s, L, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
         gi, gj = basis[i], basis[j]
@@ -421,24 +434,39 @@ def _reduce_basis(basis: list[_Gen], vars0: VarSet, order: MonomialOrder,
 
 def _power_in(f: Polynomial, gens: Sequence[Polynomial], power: int,
               deadline) -> bool:
-    """f^k in <gens> for some k <= power (1 or 2): f, or the square of its
-    remainder (f^2 modulo <gens>, and far smaller), reduces to 0 modulo the
-    pair loop's unreduced grevlex basis, as good as any for a zero test."""
+    """f^k in <gens> for some k <= power (1 or 2), tested as the grevlex pair
+    loop of <gens> runs.  The test keeps f's remainder modulo the elements
+    so far and, once every pair up to deg f is done (for a homogeneous ideal
+    it is then f's normal form), the remainder of its square: f^2 modulo
+    <gens>, and far smaller.  It reduces one again only when a new leading
+    monomial divides one of its terms, and stops the loop when one is 0.
+    A False comes only from the complete basis, on which the remainders are
+    the normal forms of f and f^2."""
     def run(pk: _Packing) -> bool:
+        rems = [_int_terms(f, pk)[0]]  # f's remainder, then its square's
+        top, dguard = max(map(sum, f.terms), default=0), pk.dguard
+
+        def decided(basis: list[_Gen], new: int, below: int) -> bool:
+            for k, r in enumerate(rems):
+                if any(((m | dguard) - g.lt) & dguard == dguard
+                       for g in basis[new:] for m in r):
+                    rems[k] = _reduce_int(r, basis, pk, deadline)[0]
+            r = rems[0]
+            if r and len(rems) < power and below > top:
+                if (reduce(or_, r) * 2) & pk.guard:
+                    raise _Overflow
+                sq: dict = {}
+                for m, c in r.items():
+                    _check_deadline(deadline)
+                    for m2, c2 in r.items():
+                        sq[m + m2] = sq.get(m + m2, 0) + c * c2
+                rems.append(_reduce_int({m: c for m, c in sq.items() if c},
+                                        basis, pk, deadline)[0])
+            return not all(rems)
+
         basis = _buchberger([g.on_vars(f.vars) for g in gens
-                             if not g.is_zero], GREVLEX, pk, deadline)
-        r, _ = _reduce_int(_int_terms(f, pk)[0], basis, pk, deadline)
-        if not r or power == 1:
-            return not r
-        if (reduce(or_, r) * 2) & pk.guard:
-            raise _Overflow
-        sq: dict = {}
-        for m, c in r.items():
-            _check_deadline(deadline)
-            for m2, c2 in r.items():
-                sq[m + m2] = sq.get(m + m2, 0) + c * c2
-        return not _reduce_int({m: c for m, c in sq.items() if c}, basis,
-                               pk, deadline)[0]
+                             if not g.is_zero], GREVLEX, pk, deadline, decided)
+        return not all(rems) or decided(basis, 0, top + 1)
     return _packed(run, GREVLEX, len(f.vars))
 
 
@@ -462,9 +490,10 @@ def rabinowitsch(f: Polynomial, gens: Sequence[Polynomial]
 
 def radical_membership(f: Polynomial, gens: Sequence[Polynomial],
                        timeout: float | None = None) -> bool:
-    """f in the radical of <gens>: f or f^2 lies in <gens>, or else the
-    grevlex reduced basis of the `rabinowitsch` ideal, computed in what is
-    left of `timeout`, is {1}."""
+    """f in the radical of <gens>: f or f^2 lies in <gens>, which
+    `_power_in` decides as the pair loop runs and stops it at the first zero
+    remainder, or else the grevlex reduced basis of the `rabinowitsch` ideal,
+    computed in what is left of `timeout`, is {1}."""
     deadline = None if timeout is None else time.monotonic() + timeout
     return _power_in(f, gens, 2, deadline) or buchberger(
         rabinowitsch(f, gens), GREVLEX, timeout=None if deadline is None

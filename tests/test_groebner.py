@@ -279,6 +279,94 @@ def test_radical_membership_fallback_gets_the_budget_left(monkeypatch):
         radical_membership(x, [x**3], timeout=0.1)
 
 
+def test_early_stop_agrees_with_the_complete_basis(monkeypatch):
+    # the membership tests stop the pair loop at the first zero remainder.
+    # On seeded small ideals, homogeneous or not, every verdict must be the
+    # one reduction against the complete basis gives, for three kinds of
+    # target: members of low degree, f with only f^2 in the ideal, and
+    # random f.  The early stop must fire on some draws, with fewer S-pairs
+    import quadkit.groebner as groebner
+    from quadkit.groebner import rabinowitsch
+    spolys, slack = 0, []
+    real_spoly, real_slack = groebner._spoly_int, groebner.rabinowitsch
+
+    def counting(*args):
+        nonlocal spolys
+        spolys += 1
+        return real_spoly(*args)
+
+    def pairs_reduced(run):
+        nonlocal spolys
+        spolys = 0
+        return run(), spolys
+
+    monkeypatch.setattr(groebner, "_spoly_int", counting)
+    monkeypatch.setattr(groebner, "rabinowitsch",
+                        lambda f, gens: slack.append(f) or real_slack(f, gens))
+    rng = random.Random(3030)
+    verdicts, fired = set(), set()
+    for k in range(90):
+        V, kind = rng.choice((XY, XYZ)), k % 3
+        homogeneous = k % 2 == 0
+        monos = [m for m in itertools.product(range(3), repeat=len(V))
+                 if sum(m) <= 2]
+
+        def draw(*degrees):
+            if homogeneous:
+                degrees = degrees[-1:]
+            pool = [m for m in monos if sum(m) in degrees]
+            return Polynomial(V, {m: Fraction(rng.choice(
+                (-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                for m in rng.sample(pool, min(2, len(pool)))})
+        gens = [draw(1, 2), draw(0, 1, 2)]
+        if kind == 0:  # a member of degree 3 at most
+            f = draw(0, 1) * gens[0] + draw(0, 1) * gens[1]
+        elif kind == 1:  # f^2 is a member, f seldom
+            f = draw(0, 1)
+            gens = [gens[0], f ** 2 + draw(0) * gens[0]]
+        else:
+            f = draw(0, 1, 2)
+        complete, full = pairs_reduced(
+            lambda: buchberger(gens, GREVLEX).generators)
+        want = [normal_form(p, complete).is_zero for p in (f, f * f)]
+        verdicts.add((kind, *want))
+        got, early = pairs_reduced(lambda: ideal_membership(f, gens))
+        assert got == want[0] and early <= full, (f, gens)
+        slack.clear()
+        got, early = pairs_reduced(lambda: radical_membership(f, gens))
+        assert bool(slack) == (not any(want)), (f, gens)
+        if any(want):
+            assert got and early <= full, (f, gens)
+            if early < full:
+                fired.add(kind)
+        else:
+            assert got == buchberger(rabinowitsch(f, gens),
+                                     GREVLEX).is_unit(), (f, gens)
+    assert {(0, True, True), (1, False, True)} <= verdicts
+    assert (2, False, False) in verdicts
+    assert fired >= {0, 1}
+
+
+def test_flipped_elimination_relation_is_not_in_the_ideal():
+    # N_R's relation A' * area^2 - B' has its square in the R-scheme ideal;
+    # with the sign of B' flipped neither it nor its square is, so no zero
+    # remainder may stop the pair loop and the complete basis says False
+    from math import prod
+
+    import quadkit.groebner as groebner
+    from quadkit import certificates
+    from quadkit.conditions import condition_poly
+    tgt, lhs, rhs = certificates._elim_targets()["N_R"]
+    scheme = certificates.r_scheme()
+    area = prod(scheme.area2(tri) for tri in tgt.triangles)
+    lhs = lhs.on_vars(scheme.vars) * area ** tgt.power
+    rhs = rhs.on_vars(scheme.vars)
+    gens = scheme.ideal(condition_poly("R"))
+    assert groebner._power_in(lhs - rhs, gens, 2, None)
+    assert not ideal_membership(lhs - rhs, gens)
+    assert not groebner._power_in(lhs + rhs, gens, 2, None)
+
+
 # -- packed monomials ---------------------------------------------------------
 
 def test_order_keys_are_additive_and_packing_sorts_like_them():
@@ -423,11 +511,13 @@ def test_elimination_bases_hashes_pinned():
 def test_pair_selection_reduction_counts(monkeypatch):
     # sugar selection under block orders cuts the S-pair reductions of the
     # elimination bases below the normal strategy's 226/122/176.  The grevlex
-    # radical routes keep the normal strategy and decide both claims on the
-    # scheme ideal's own basis.  In the scheme's order with the y-coordinates
-    # above the x-coordinates N_R takes 76 reductions (112 with x above y, so
-    # that bound also guards the order); converse_ptolemy takes 188 (181 with
-    # x above y), so its bound pins the route, not the order
+    # radical routes keep the normal strategy, decide the claims on the
+    # scheme ideal's own pair loop and stop it at the first zero remainder.
+    # In the scheme's order with the y-coordinates above the x-coordinates
+    # converse_ptolemy takes 161 reductions, N_R 60 and parallelogram_case
+    # 31.  With x above y they take 114, 64 and 61, so the N_R and
+    # parallelogram_case bounds also guard the order; the converse_ptolemy
+    # bound pins the early stop, not the order
     import quadkit.groebner as groebner
     from quadkit import certificates
     calls = 0
@@ -451,9 +541,11 @@ def test_pair_selection_reduction_counts(monkeypatch):
         gens = list(getattr(certificates, builder)().generators)
         assert count(lambda: elimination_ideal(
             gens, ("u", "v", "w", "z"))) < normal, builder
-    assert count(lambda: certificates.cert_converse_ptolemy(samples=0)) <= 188
+    assert count(lambda: certificates.cert_converse_ptolemy(samples=0)) <= 161
     assert count(lambda: certificates.cert_elimination_formula(
-        "N_R", timeout=30, samples=0)) <= 76
+        "N_R", timeout=30, samples=0)) <= 60
+    assert count(lambda: certificates.cert_parallelogram_case(
+        samples=0)) <= 31
 
 
 def test_reduced_bases_match_sympy():
