@@ -356,13 +356,6 @@ def _circle_ints(n: int, d: int) -> tuple[int, int, int]:
     return d * d - n * n, 2 * n * d, d * d + n * n
 
 
-def unit_circle_point(t: Fraction) -> Point:
-    """Tangent half-angle parametrization of the rational unit circle."""
-    t = Fraction(t)
-    x, y, w = _circle_ints(t.numerator, t.denominator)
-    return Point(Fraction(x, w), Fraction(y, w))
-
-
 def gen_cyclic(seed_or_rng, order: str = "ABCD") -> QuadConfig:
     """Four distinct rational points on the unit circle whose counterclockwise
     order around the circle realizes `order` (any permutation of ABCD)."""
@@ -381,17 +374,23 @@ def gen_cyclic(seed_or_rng, order: str = "ABCD") -> QuadConfig:
 
 
 def gen_collinear_inorder(seed_or_rng) -> QuadConfig:
-    """Four points in order on a rational line (Ptolemy's degenerate case)."""
+    """Four points in order on a rational line (Ptolemy's degenerate case):
+    O + (m/840) u for drawn parameters n/d = m/840 (d <= 8), a unit direction
+    u = (x/w, y/w) and O = (on/od, pn/pd), over one integer scale."""
     rng = _rng(seed_or_rng)
-    xs = set()
-    while len(xs) < 4:
-        xs.add(_rand_fraction(rng, -20, 20, 8))
+    randint = rng.randint
+    ms = set()
+    while len(ms) < 4:  # 840 = lcm(1..8)
+        ms.add(randint(-20, 20) * (840 // randint(1, 8)))
     # random rational direction keeps the family from being axis-special; a
-    # unit direction sends distinct xs to distinct points
-    ux, uy = unit_circle_point(_rand_fraction(rng, -5, 5, 4))
-    ox = _rand_fraction(rng, -5, 5, 4)
-    oy = _rand_fraction(rng, -5, 5, 4)
-    return QuadConfig.of(*((ox + x * ux, oy + x * uy) for x in sorted(xs)))
+    # unit direction sends distinct parameters to distinct points
+    x, y, w = _circle_ints(randint(-5, 5), randint(1, 4))
+    on, od = randint(-5, 5), randint(1, 4)
+    pn, pd = randint(-5, 5), randint(1, 4)
+    k, s = od * pd, 840 * w
+    ox, oy = on * pd * s, pn * od * s
+    return QuadConfig(tuple((ox + k * m * x, oy + k * m * y)
+                            for m in sorted(ms)), k * s)
 
 
 def _reflected(draw: Callable[[], QuadConfig], vertex: str,
@@ -447,14 +446,28 @@ def gen_tilted_kite(seed_or_rng, convex: bool = True) -> QuadConfig:
 def _draw_quad(rng: random.Random, span: int, max_den: int
                ) -> tuple[tuple[tuple[int, int], ...], int]:
     """The first distinct quad of draws n/d for x_A, y_A, ..., y_D, as its
-    integer points n * (L // d) and L, the lcm of the drawn denominators."""
+    integer points n * (L // d) and L, the lcm of the drawn denominators.
+    Each value is drawn as `rng.randint` draws it on CPython 3.10-3.13, by
+    its rejection loop written out: `getrandbits(size.bit_length())` until
+    the draw is below the range's size, so the stream is randint's."""
     if span < 1:  # span 0 draws only the origin: never four distinct points
         raise GeometryError(f"span must be >= 1, not {span}")
-    randint = rng.randint
+    if max_den < 1:  # getrandbits(0) is always 0: the loop would never end
+        raise GeometryError(f"max_den must be >= 1, not {max_den}")
+    getrandbits = rng.getrandbits
+    width = 2 * span + 1
+    kn, kd = width.bit_length(), max_den.bit_length()
     while True:
-        draw = [(randint(-span, span), randint(1, max_den)) for _ in range(8)]
-        scale = lcm(*(d for _, d in draw))
-        ints = [n * (scale // d) for n, d in draw]
+        ns, ds = [], []
+        for _ in range(8):
+            while (n := getrandbits(kn)) >= width:
+                pass
+            while (d := getrandbits(kd)) >= max_den:
+                pass
+            ns.append(n - span)
+            ds.append(d + 1)
+        scale = lcm(*ds)
+        ints = [n * (scale // d) for n, d in zip(ns, ds)]
         pts = tuple(zip(ints[::2], ints[1::2]))
         if len(set(pts)) == 4:
             return pts, scale

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import signal
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadkit import certificates, conditions
+from quadkit import certificates, conditions, geometry
 from quadkit.certificates import (_degenerate_families, _hulls_agree,
                                   oracle_hull)
 from quadkit.conditions import eval_condition
@@ -25,8 +26,7 @@ from quadkit.geometry import (DistSextuple, GeometryError, HullClass,
                               gen_tilted_kite, hull_from_signs, hull_table,
                               midpoint_distances, random_quad,
                               reflect_over_line, same_cycle,
-                              sextuple_from_obj, sextuple_to_obj,
-                              unit_circle_point)
+                              sextuple_from_obj, sextuple_to_obj)
 from quadkit.poly import Polynomial, VarSet, det
 
 SQUARE = QuadConfig.of((0, 0), (1, 0), (1, 1), (0, 1))
@@ -535,18 +535,18 @@ def test_reflection_rejects_unknown_label(vertex, line):
 # -- generators ------------------------------------------------------------------------
 
 def test_unit_circle_points_are_on_circle():
-    for t in (Fraction(0), Fraction(1), Fraction(3), Fraction(-2),
-              Fraction(7, 5)):
-        p = unit_circle_point(t)
-        assert p.x * p.x + p.y * p.y == 1
+    for n, d in ((0, 1), (1, 1), (3, 1), (-2, 1), (7, 5), (6, 4)):
+        x, y, w = geometry._circle_ints(n, d)
+        assert x * x + y * y == w * w and w > 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.fractions(max_denominator=10 ** 6))
 def test_unit_circle_point_matches_formula(t):
-    p = unit_circle_point(t)
-    assert p == Point((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
-    assert type(p.x) is type(p.y) is Fraction
+    # the tangent half-angle parametrization, read off the integer triple
+    x, y, w = geometry._circle_ints(t.numerator, t.denominator)
+    assert (Fraction(x, w), Fraction(y, w)) == ((1 - t * t) / (1 + t * t),
+                                                2 * t / (1 + t * t))
 
 
 def test_gen_cyclic_orders_and_determinism():
@@ -667,9 +667,53 @@ def test_gen_collinear_inorder():
     assert classify_hull(cfg).kind == "collinear4"
 
 
-@pytest.mark.parametrize("span", [0, -3])
-def test_random_quad_refuses_empty_span_at_once(span):
-    # span 0 can only draw the origin, so the redraw loop never ended
+def test_gen_collinear_inorder_stream_pinned():
+    # recorded before the line moved to integer points: 200 configurations,
+    # then the next 64 bits, so the rng calls are pinned too
+    want = {0: "dd797ea5b26fed8534f2a6df6492de6d"
+               "42a51958f8472dad48b8f3e41ca897ad",
+            499: "98151cd96bf3e2686f641023dbeec763"
+                 "4c5be91ecf88f51c2dd53ab24212b340"}
+    for seed, digest in want.items():
+        rng = random.Random(seed)
+        h = hashlib.sha256()
+        for _ in range(200):
+            h.update(json.dumps(config_to_obj(gen_collinear_inorder(rng)))
+                     .encode())
+        h.update(str(rng.getrandbits(64)).encode())
+        assert h.hexdigest() == digest, seed
+
+
+def _draw_quad_by_randint(rng, span, max_den):
+    """`geometry._draw_quad` as it reads on `rng.randint`: the reference
+    stream its written-out rejection loop must repeat."""
+    while True:
+        draw = [(rng.randint(-span, span), rng.randint(1, max_den))
+                for _ in range(8)]
+        scale = lcm(*(d for _, d in draw))
+        ints = [n * (scale // d) for n, d in draw]
+        pts = tuple(zip(ints[::2], ints[1::2]))
+        if len(set(pts)) == 4:
+            return pts, scale
+
+
+def test_draw_quad_repeats_the_randint_stream():
+    # the spans and denominator bounds cross the powers of two where the
+    # bit length of the range's size changes
+    for span, max_den in product((1, 3, 8, 31, 32, 40, 63, 64, 1000),
+                                 (1, 2, 3, 4, 8, 16, 100)):
+        seed = span * 1000 + max_den
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(300):
+            assert (geometry._draw_quad(ours, span, max_den)
+                    == _draw_quad_by_randint(ref, span, max_den)), \
+                (span, max_den)
+        assert ours.getrandbits(64) == ref.getrandbits(64), (span, max_den)
+
+
+def _refused_at_once(match, **bounds):
+    """random_quad with `bounds` raises GeometryError within 1 s, before
+    any draw."""
     def expire(signum, frame):
         raise AssertionError("random_quad ran past 1 s")
     rng = random.Random(5)
@@ -677,12 +721,25 @@ def test_random_quad_refuses_empty_span_at_once(span):
     old = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
-        with pytest.raises(GeometryError, match="span"):
-            random_quad(rng, span=span)
+        with pytest.raises(GeometryError, match=match):
+            random_quad(rng, **bounds)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-    assert rng.getstate() == state  # refused before any draw
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("span", [0, -3])
+def test_random_quad_refuses_empty_span_at_once(span):
+    # span 0 can only draw the origin, so the redraw loop never ended
+    _refused_at_once("span", span=span)
+
+
+@pytest.mark.parametrize("max_den", [0, -2])
+def test_random_quad_refuses_empty_denominator_range_at_once(max_den):
+    # getrandbits(0) is always 0, so the denominator's rejection loop would
+    # never end
+    _refused_at_once("max_den", max_den=max_den)
 
 
 # -- JSON / SVG -----------------------------------------------------------------------------
