@@ -458,12 +458,12 @@ def cert_elimination_formula(target: str, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _parallelogram(rng: random.Random) -> QuadConfig:
-    draw = geometry._rand_fraction
-    while True:
-        x, y = draw(rng, -8, 8, 4), draw(rng, -8, 8, 4)
-        ux, uy, vx, vy = (draw(rng, -9, 9, 3) for _ in range(4))
-        cfg = QuadConfig.of((x, y), (x + ux, y + uy),
-                            (x + ux + vx, y + uy + vy), (x + vx, y + vy))
+    draw = geometry._rand_over
+    while True:  # over 12, which every drawn denominator divides
+        x, y = draw(rng, -8, 8, 4, 12), draw(rng, -8, 8, 4, 12)
+        ux, uy, vx, vy = (draw(rng, -9, 9, 3, 12) for _ in range(4))
+        cfg = QuadConfig(((x, y), (x + ux, y + uy),
+                          (x + ux + vx, y + uy + vy), (x + vx, y + vy)), 12)
         if cfg.distinct() and ux * vy != uy * vx:
             return cfg
 
@@ -478,11 +478,11 @@ def _rhombus(rng: random.Random) -> QuadConfig:
 
 def _symmetric_kite(rng: random.Random) -> QuadConfig:
     while True:
-        half = geometry._rand_fraction(rng, 1, 8, 3)
+        half = geometry._rand_over(rng, 1, 8, 3, 60)
         h, k = _apex(rng)
         if h == k:
             continue  # that would be a rhombus
-        return QuadConfig.of((0, 0), (half, h), (2 * half, 0), (half, -k))
+        return QuadConfig(((0, 0), (half, h), (2 * half, 0), (half, -k)), 60)
 
 
 def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
@@ -538,35 +538,42 @@ def cert_parallelogram_case(seed: int = 0, timeout: float = DEFAULT_TIMEOUT,
 # degenerate families
 # ---------------------------------------------------------------------------
 
-def _frac_outside(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    """A random rational strictly outside [lo, hi]."""
-    off = geometry._rand_fraction(rng, 1, 12, 4)
-    return lo - off if rng.random() < 0.5 else hi + off
+# the degenerate placements' integer scale: 600 = 10 * lcm(1..6), so that the
+# apex drawn over 60 and the inner free point h * j / 10 are both integers
+_DEGENERATE_SCALE = 600
 
 
-def _frac_inside(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    """A random rational strictly inside (lo, hi), never its midpoint."""
-    num = rng.randint(1, 18)
-    return lo + (hi - lo) * Fraction(num + (num >= 10), 20)
+def _outside(rng: random.Random, h: int) -> int:
+    """A random point strictly outside [0, 2h], over the placements' scale."""
+    off = geometry._rand_over(rng, 1, 12, 4, _DEGENERATE_SCALE)
+    return -off if rng.random() < 0.5 else 2 * h + off
 
 
-def _apex(rng: random.Random) -> tuple[Fraction, Fraction]:
-    return (geometry._rand_fraction(rng, 1, 9, 3),
-            geometry._rand_fraction(rng, 1, 9, 3))
+def _inside(rng: random.Random, h: int) -> int:
+    """A random point h * j / 10 strictly inside (0, 2h), never its
+    midpoint h; h is a multiple of 10."""
+    j = rng.randint(1, 18)
+    return h * (j + (j >= 10)) // 10
+
+
+def _apex(rng: random.Random) -> tuple[int, ...]:
+    """Two heights n/d, n in [1, 9] and d in [1, 3], over 60 = lcm(1..6)."""
+    return tuple(geometry._rand_over(rng, 1, 9, 3, 60) for _ in range(2))
 
 
 @lru_cache(maxsize=1)
 def _degenerate_families() -> dict[str, tuple]:
     """Per family: its condition's name; the squared diagonal laid on the
-    axis from the origin to (2h, 0); the draw of the free axis point; and one
-    row per case, in the order the draw picks them: its name; A, B, C, D
-    from the half axis h, the apex height k and the free point x; exactly
+    axis from the origin to (2h, 0); the draw of the free axis point from h;
+    and one row per case, in the order the draw picks them: its name; A, B,
+    C, D from the half axis h, the apex height k and the free point x, all
+    integers over `_DEGENERATE_SCALE` (or any ring's values); exactly
     the flat triangles; two sides of equal length; one further polynomial
     that vanishes (the family's angle condition K or K_T when an apex is off
     the axis, else Heron or Gamma)."""
     return {
         # D at the origin, B = (2h, 0), the free point outside BD
-        "R": ("R", "qf", _frac_outside, (
+        "R": ("R", "qf", _outside, (
             ("all_collinear",
              lambda h, k, x: ((x, 0), (2 * h, 0), (h, 0), (0, 0)),
              TRIANGLES, ("qb", "qc"), _heron_poly()),
@@ -575,7 +582,7 @@ def _degenerate_families() -> dict[str, tuple]:
             ("case3", lambda h, k, x: ((h, k), (2 * h, 0), (x, 0), (0, 0)),
              ("BCD",), ("qa", "qd"), condition_poly("K")))),
         # A at the origin, C = (2h, 0), the free point inside AC
-        "R_T": ("R_T", "qe", _frac_inside, (
+        "R_T": ("R_T", "qe", _inside, (
             ("all_collinear",
              lambda h, k, x: ((0, 0), (x, 0), (2 * h, 0), (h, 0)),
              TRIANGLES, ("qc", "qd"), _gamma_poly()),
@@ -601,13 +608,13 @@ def cert_degenerate_cases(family: str, seed: int = 0, samples: int = 200,
         bad = 0
         for _ in range(samples):
             name, place, flat, (s1, s2), zero = rng.choice(cases)
-            h, k = _apex(rng)
-            x = free_point(rng, Fraction(0), 2 * h)
-            cfg = QuadConfig.of(*place(h, k, x))
+            h, k = (10 * v for v in _apex(rng))  # from over 60 to over 600
+            x = free_point(rng, h)
+            cfg = QuadConfig(place(h, k, x), _DEGENERATE_SCALE)
             d6 = cfg.sextuple()
             ok = ({t for t in TRIANGLES if cfg.cross(t) == 0} == set(flat)
                   and eval_condition(condition, d6).is_zero
-                  and getattr(d6, axis) == 4 * h * h
+                  and getattr(d6, axis) * _DEGENERATE_SCALE ** 2 == 4 * h * h
                   and getattr(d6, s1) == getattr(d6, s2)
                   and eval_poly_on_sextuple(zero, d6).is_zero)
             checks[name] += 1

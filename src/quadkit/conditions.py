@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .geometry import DistSextuple, cayley_menger, cm_rows, midpoint_distances
+from .geometry import (DistSextuple, _rand_over, cayley_menger, cm_rows,
+                       midpoint_distances)
 from .poly import Polynomial, VarSet, det
 from .radicals import RadicalValue, sqrt_rational, squarefree_decompose
 
@@ -73,12 +74,8 @@ def condition_poly(name: str) -> Polynomial:
 
 @lru_cache(maxsize=1)
 def _identities() -> dict[str, Polynomial]:
-    t = _conditions()
-    P, Q, S, K, R, W = (t[k] for k in ("P", "Q", "S", "K", "R", "W"))
-    P_T, Q_T, R_T, K_T, S_T, W_T = (t[k] for k in
-                                    ("P_T", "Q_T", "R_T", "K_T", "S_T", "W_T"))
-    K_1, R_1, K_G, Q_G, R_G, CM = (t[k] for k in
-                                   ("K_1", "R_1", "K_G", "Q_G", "R_G", "CM"))
+    (P, Q, S, K, R, W, P_T, Q_T, R_T, K_T, S_T, W_T,
+     K_1, R_1, K_G, Q_G, R_G, CM) = _conditions().values()
     a, b, c, d, e, f = Polynomial.variables(DIST_VARS)
     half = Fraction(1, 2)
     return {
@@ -232,9 +229,10 @@ def run_self_check() -> None:
         return
     rng = random.Random(20260810)
     cm = condition_poly("CM")
+    den = lcm(*range(1, 21))
     for _ in range(50):
-        d = DistSextuple.of(*[Fraction(rng.randint(1, 400), rng.randint(1, 20))
-                              for _ in range(6)])
+        d = DistSextuple(tuple(_rand_over(rng, 1, 400, 20, den)
+                               for _ in range(6)), den)
         sym = eval_poly_on_sextuple(cm, d)
         if not sym.is_rational() or sym.as_fraction() != cayley_menger(d):
             raise AssertionError(

@@ -147,7 +147,8 @@ class QuadConfig:
     Both are reduced by their gcd, so the scale is the lcm of the eight
     coordinate denominators and each configuration has one encoding.  A
     positive shared scale keeps orientations, coincidences and coordinate
-    order; `points()` gives the `Fraction` points, for output."""
+    order.  `of` parses exact input coordinates; `points()` gives the
+    `Fraction` points."""
 
     int_points: tuple[tuple[int, int], ...]
     int_scale: int
@@ -346,9 +347,11 @@ def _rng(seed_or_rng) -> random.Random:
     return random.Random(seed_or_rng)
 
 
-def _rand_fraction(rng: random.Random, lo: int, hi: int, max_den: int
-                   ) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+def _rand_over(rng: random.Random, lo: int, hi: int, max_den: int,
+               scale: int) -> int:
+    """A draw n/d, n in [lo, hi] and d in [1, max_den], as the integer
+    n * (scale // d) over `scale`, which every such d must divide."""
+    return rng.randint(lo, hi) * (scale // rng.randint(1, max_den))
 
 
 def _circle_ints(n: int, d: int) -> tuple[int, int, int]:
@@ -363,11 +366,10 @@ def gen_cyclic(seed_or_rng, order: str = "ABCD") -> QuadConfig:
         raise GeometryError(f"order must be a permutation of ABCD: {order!r}")
     rng = _rng(seed_or_rng)
     ts = set()
-    while len(ts) < 4:
-        ts.add(_rand_fraction(rng, -30, 30, 10))
+    while len(ts) < 4:  # 2520 = lcm(1..10)
+        ts.add(_rand_over(rng, -30, 30, 10, 2520))
     # the circle parametrization is injective: distinct ts, distinct points
-    xyw = dict(zip(order, (_circle_ints(t.numerator, t.denominator)
-                           for t in sorted(ts))))
+    xyw = dict(zip(order, (_circle_ints(t, 2520) for t in sorted(ts))))
     s = lcm(*(w for _, _, w in xyw.values()))
     return QuadConfig(tuple((x * (s // w), y * (s // w))
                             for x, y, w in map(xyw.get, "ABCD")), s)
@@ -375,22 +377,19 @@ def gen_cyclic(seed_or_rng, order: str = "ABCD") -> QuadConfig:
 
 def gen_collinear_inorder(seed_or_rng) -> QuadConfig:
     """Four points in order on a rational line (Ptolemy's degenerate case):
-    O + (m/840) u for drawn parameters n/d = m/840 (d <= 8), a unit direction
-    u = (x/w, y/w) and O = (on/od, pn/pd), over one integer scale."""
+    O + (m/840) u for drawn parameters m/840 (denominators up to 8), a unit
+    direction u = (x/w, y/w) and an origin O drawn over 12, all over 840 w."""
     rng = _rng(seed_or_rng)
-    randint = rng.randint
     ms = set()
     while len(ms) < 4:  # 840 = lcm(1..8)
-        ms.add(randint(-20, 20) * (840 // randint(1, 8)))
+        ms.add(_rand_over(rng, -20, 20, 8, 840))
     # random rational direction keeps the family from being axis-special; a
     # unit direction sends distinct parameters to distinct points
-    x, y, w = _circle_ints(randint(-5, 5), randint(1, 4))
-    on, od = randint(-5, 5), randint(1, 4)
-    pn, pd = randint(-5, 5), randint(1, 4)
-    k, s = od * pd, 840 * w
-    ox, oy = on * pd * s, pn * od * s
-    return QuadConfig(tuple((ox + k * m * x, oy + k * m * y)
-                            for m in sorted(ms)), k * s)
+    x, y, w = _circle_ints(rng.randint(-5, 5), rng.randint(1, 4))
+    ox = _rand_over(rng, -5, 5, 4, 12) * 70 * w
+    oy = _rand_over(rng, -5, 5, 4, 12) * 70 * w
+    return QuadConfig(tuple((ox + m * x, oy + m * y) for m in sorted(ms)),
+                      840 * w)
 
 
 def _reflected(draw: Callable[[], QuadConfig], vertex: str,
@@ -546,18 +545,13 @@ def config_svg(cfg: QuadConfig) -> str:
     w, h = fmt(width), fmt(height)
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
              f'height="{h}" viewBox="0 0 {w} {h}">']
-    ring = "ABCD"
-    for i in range(4):
-        p, q = pts[ring[i]], pts[ring[(i + 1) % 4]]
-        lines.append(f'<line x1="{fmt(sx(p[0]))}" y1="{fmt(sy(p[1]))}" '
-                     f'x2="{fmt(sx(q[0]))}" y2="{fmt(sy(q[1]))}" '
-                     'stroke="black" stroke-width="1.5"/>')
-    for pair in ("AC", "BD"):
-        p, q = pts[pair[0]], pts[pair[1]]
-        lines.append(f'<line x1="{fmt(sx(p[0]))}" y1="{fmt(sy(p[1]))}" '
-                     f'x2="{fmt(sx(q[0]))}" y2="{fmt(sy(q[1]))}" '
-                     'stroke="gray" stroke-width="0.8" '
-                     'stroke-dasharray="4 3"/>')
+    for pairs, stroke in (("AB BC CD DA", 'stroke="black" stroke-width="1.5"'),
+                          ("AC BD", 'stroke="gray" stroke-width="0.8" '
+                                    'stroke-dasharray="4 3"')):
+        for u, v in pairs.split():  # the sides, then the dashed diagonals
+            (px, py), (qx, qy) = pts[u], pts[v]
+            lines.append(f'<line x1="{fmt(sx(px))}" y1="{fmt(sy(py))}" '
+                         f'x2="{fmt(sx(qx))}" y2="{fmt(sy(qy))}" {stroke}/>')
     for label, (x, y) in pts.items():
         lines.append(f'<circle cx="{fmt(sx(x))}" cy="{fmt(sy(y))}" r="3" '
                      'fill="black"/>')

@@ -6,6 +6,7 @@ import random
 import signal
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -324,6 +325,60 @@ def test_degenerate_records_pinned():
         assert tier2 == {"samples": n, "violations": 0, "by_case": dict(
             zip(("all_collinear", "case2", "case3"), by_case))}
 
+
+def _config_digest(cfgs, rng) -> str:
+    h = hashlib.sha256()
+    for cfg in cfgs:
+        h.update(repr((cfg.int_points, cfg.int_scale)).encode())
+    h.update(str(rng.getrandbits(64)).encode())
+    return h.hexdigest()
+
+
+def _recording_rngs(monkeypatch, module) -> list:
+    """Every `random.Random` that `module` makes from here on."""
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(module, "random", SimpleNamespace(Random=Recorded))
+    return made
+
+
+def test_degenerate_configurations_pinned(monkeypatch):
+    # recorded before the degenerate placements moved to integer points:
+    # every configuration each tier 2 builds, then its rng's next 64 bits
+    want = {("R", 0): "46ba85966ebecf656468007370c4915c"
+                      "42a212a09299c4c6168489ed599fdec3",
+            ("R", 4): "0eefacf1e5b292cb2b68a43b5d3ccff0"
+                      "5d9e1395dbe1450594f4978c8216d0ec",
+            ("R_T", 0): "154065dd90724053eeecd02ba67aa25d"
+                        "99c803ccf150691a542087a0b68b811e",
+            ("R_T", 4): "1125050ad128a5d5b30007c24e0cfbc5"
+                        "a615aab093a5e29f6666772e12b97583"}
+    built = []
+    sextuple = QuadConfig.sextuple
+    monkeypatch.setattr(QuadConfig, "sextuple",
+                        lambda cfg: built.append(cfg) or sextuple(cfg))
+    rngs = _recording_rngs(monkeypatch, certificates)
+    for (family, seed), digest in want.items():
+        built.clear()
+        assert cert_degenerate_cases(family, seed).tier2["violations"] == 0
+        assert len(built) == 200
+        assert _config_digest(built, rngs[-1]) == digest, (family, seed)
+
+
+def test_parallelogram_makers_pinned():
+    # recorded before the parallelogram and kite makers moved to integer
+    # points: 300 draws in the claim's rotation, then the next 64 bits
+    rng = random.Random(0)
+    makers = (certificates._parallelogram, certificates._rhombus,
+              certificates._symmetric_kite)
+    cfgs = [makers[i % 3](rng) for i in range(300)]
+    assert _config_digest(cfgs, rng) == ("c6dc067b3b7b96b719eea792858b76f4"
+                                        "ef1b9eff5c6317796e51aa08c9588536")
 
 def test_reflection_theorem_supported():
     cert = cert_reflection_theorem(seed=6, samples=25)

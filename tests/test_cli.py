@@ -272,6 +272,24 @@ def test_render_svg(tmp_path, capsys):
     assert rc == 1
 
 
+def test_render_svg_pinned(tmp_path, capsys):
+    # recorded before the side and diagonal lines shared one loop
+    want = {"square": "738cae80c3ceb65ced1946ed6346a1ce"
+                      "67d22293d8d921f8534bc78230ad58e3",
+            "concave": "8f3017d4cae9f32c6e5934f852019b3a"
+                       "af372cfb0618019f584b43df2468c86e",
+            "wide": "1d865c062df76155407ee867d821cdb9"
+                    "47b48d207006a4cb92901f5efe897a77"}
+    inputs = {"square": SQUARE,
+              "concave": {"A": ["0", "0"], "B": ["4", "0"],
+                          "C": ["2", "3"], "D": ["2", "1/3"]},
+              "wide": {"A": ["-7/2", "1"], "B": ["1000", "-3/7"],
+                       "C": ["12", "5"], "D": ["0", "-1/9"]}}
+    for name, obj in inputs.items():
+        assert main(["render-svg", _write(tmp_path, obj)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want[name], name
+
 @pytest.mark.parametrize("argv", [
     # stopped mid-stream by a print, and at the final flush
     ["generate", "cyclic", "--count", "200", "--seed", "1"],

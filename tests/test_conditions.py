@@ -1,7 +1,9 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,30 @@ def test_cm_self_check_catches_a_wrong_determinant(monkeypatch):
     with pytest.raises(AssertionError):
         run_self_check()
 
+
+def test_cm_self_check_sextuples_pinned(monkeypatch):
+    # recorded before the self-check's draws moved to integers: its 50
+    # sextuples, then the next 64 bits of its rng
+    seen, rngs = [], []
+    true_cm = conditions.cayley_menger
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
+
+    monkeypatch.setattr(conditions, "_SELF_CHECK_DONE", False)
+    monkeypatch.setattr(conditions, "random", SimpleNamespace(Random=Recorded))
+    monkeypatch.setattr(conditions, "cayley_menger",
+                        lambda d: seen.append(d) or true_cm(d))
+    run_self_check()
+    assert len(seen) == 50 and len(rngs) == 1
+    h = hashlib.sha256()
+    for d in seen:
+        h.update(repr((d.int_q, d.int_scale)).encode())
+    h.update(str(rngs[0].getrandbits(64)).encode())
+    assert h.hexdigest() == ("c024afb7e8a5bbaed8227ec1d2190604"
+                             "0d5b1af4cf86c1e5818302b30a0af0db")
 
 def test_eval_condition_worked_instances():
     # rectangle with sides 3, 4: Ptolemy is tight

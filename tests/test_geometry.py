@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from quadkit import certificates, conditions, geometry
 from quadkit.certificates import (_degenerate_families, _hulls_agree,
                                   oracle_hull)
+from quadkit.cli import main
 from quadkit.conditions import eval_condition
 from quadkit.geometry import (DistSextuple, GeometryError, HullClass,
                               HullTableError, Point, QuadConfig, TRIANGLES,
@@ -291,7 +292,11 @@ _DRAWS = (lambda r: gen_cyclic(r, r.choice(("ABCD", "ACBD", "ADCB"))),
           gen_folded, gen_reflected, gen_tilted_kite,
           lambda r: gen_tilted_kite(r, convex=False),
           gen_collinear_inorder, random_quad,
-          lambda r: random_quad(r, span=100, max_den=30))
+          lambda r: random_quad(r, span=100, max_den=30),
+          certificates._parallelogram, certificates._rhombus,
+          certificates._symmetric_kite,
+          lambda r: certificates._ray_kite(r, convex=True),
+          lambda r: certificates._ray_kite(r, convex=False))
 
 
 def test_every_configuration_holds_its_one_reduced_encoding():
@@ -345,6 +350,25 @@ def test_every_sextuple_holds_its_one_reduced_encoding():
         with pytest.raises(GeometryError, match="squared distance qb .* not "
                            "exact"):
             DistSextuple.of(1, bad, 1, 1, 1, 1)
+
+
+def test_drawn_configurations_never_parse_input(monkeypatch, capsys):
+    # the input checks of `QuadConfig.of` and `DistSextuple.of` are for
+    # parsed input: every claim, family and the self-check builds on integers
+    def refuse(*args, **kwargs):
+        raise AssertionError("a drawn value went through the input parser")
+
+    monkeypatch.setattr(QuadConfig, "of", refuse)
+    monkeypatch.setattr(DistSextuple, "of", refuse)
+    monkeypatch.setattr(geometry, "_frac", refuse)
+    monkeypatch.setattr(conditions, "_SELF_CHECK_DONE", False)
+    conditions.run_self_check()
+    certs = certificates.run_certificates(timeout=0, samples=20)
+    assert len(certs) == 16
+    assert all(c.status != certificates.FAILED for c in certs), certs
+    for family in ("cyclic", "tilted_kite", "folded", "reflected"):
+        assert main(["generate", family, "--count", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20
 
 
 # -- determinants ---------------------------------------------------------------
@@ -682,6 +706,27 @@ def test_gen_collinear_inorder_stream_pinned():
                      .encode())
         h.update(str(rng.getrandbits(64)).encode())
         assert h.hexdigest() == digest, seed
+
+
+def test_gen_cyclic_streams_pinned():
+    # recorded before the circle parameters moved to integers: 200
+    # configurations in each order, then the next 64 bits
+    want = {"ABCD": "bbecf12e9bf3583f88816428097e7973"
+                    "b4ea75862b3913ada8fb1e6f8216aad7",
+            "ADCB": "68b38dd3e9930e233e2e4f48e01d2017"
+                    "28ce118e806889db71601f5a4af60629",
+            "ACBD": "47c660d067b670e4788a9b620ae9b72e"
+                    "0e468b15707caab14ac3c8907fda2bf6",
+            "ACDB": "bdd770adec6037b5238bffa3e47ea1c3"
+                    "fbcb35a4456500aac09618523bbd4ffb"}
+    for order, digest in want.items():
+        rng = random.Random(order)
+        h = hashlib.sha256()
+        for _ in range(200):
+            cfg = gen_cyclic(rng, order)
+            h.update(repr((cfg.int_points, cfg.int_scale)).encode())
+        h.update(str(rng.getrandbits(64)).encode())
+        assert h.hexdigest() == digest, order
 
 
 def _draw_quad_by_randint(rng, span, max_den):
