@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from . import geometry
 from .conditions import (DIST_VARS, condition_poly, eval_condition,
-                         eval_poly_on_sextuple)
+                         eval_polys_on_sextuple)
 from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, QuadConfig,
                        classify_hull, cocircularity, cross,
                        gen_collinear_inorder, gen_cyclic, gen_folded,
@@ -382,23 +382,22 @@ def elimination_tier2(targets: Sequence[str], samples: int = 1000,
             results[t]["gamma_sign_violations"] = 0
     for family, fam_targets in by_family.items():
         stream = _family_samples(family, random.Random(seed))
+        polys = [side for t in fam_targets for side in table[t][1:]]
+        polys.append(_gamma_poly())
         while any(results[t]["samples"] < samples for t in fam_targets):
             cfg = next(stream)
-            d = cfg.sextuple()
             s2 = cfg.int_scale ** 2
-            for t in fam_targets:
-                tgt, lhs_poly, rhs_poly = table[t]
-                stats = results[t]
+            *sides, gamma = eval_polys_on_sextuple(polys, cfg.sextuple())
+            for t, lhs, rhs in zip(fam_targets, sides[::2], sides[1::2]):
+                tgt, stats = table[t][0], results[t]
                 if stats["samples"] >= samples:
                     continue
-                lhs = eval_poly_on_sextuple(lhs_poly, d)
                 if lhs.is_zero:
                     stats["guard_skips"] += 1
                     continue
                 stats["samples"] += 1
                 value = prod(Fraction(cfg.cross(tri), s2)
                              for tri in tgt.triangles)
-                rhs = eval_poly_on_sextuple(rhs_poly, d)
                 if lhs * value ** tgt.power != rhs:
                     stats["mismatches"] += 1
                 if tgt.sign is not None and tgt.sign * value < 0:
@@ -408,8 +407,7 @@ def elimination_tier2(targets: Sequence[str], samples: int = 1000,
                     hull = classify_hull(cfg).boundary
                     if hull and hull not in allowed[t][cfg.orient("ABC")]:
                         stats["hull_violations"] += 1
-                if ("gamma_sign_violations" in stats and
-                        eval_poly_on_sextuple(_gamma_poly(), d).sign() > 0):
+                if "gamma_sign_violations" in stats and gamma.sign() > 0:
                     stats["gamma_sign_violations"] += 1
     return results
 
@@ -613,10 +611,10 @@ def cert_degenerate_cases(family: str, seed: int = 0, samples: int = 200,
             cfg = QuadConfig(place(h, k, x), _DEGENERATE_SCALE)
             d6 = cfg.sextuple()
             ok = ({t for t in TRIANGLES if cfg.cross(t) == 0} == set(flat)
-                  and eval_condition(condition, d6).is_zero
+                  and not any(eval_polys_on_sextuple(
+                      (condition_poly(condition), zero), d6))
                   and getattr(d6, axis) * _DEGENERATE_SCALE ** 2 == 4 * h * h
-                  and getattr(d6, s1) == getattr(d6, s2)
-                  and eval_poly_on_sextuple(zero, d6).is_zero)
+                  and getattr(d6, s1) == getattr(d6, s2))
             checks[name] += 1
             bad += not ok
         return ({"samples": sum(checks.values()), "by_case": checks,
@@ -701,8 +699,10 @@ def cert_reflection_theorem(seed: int = 0, samples: int = 500,
         def zero(name, cfg):
             return eval_condition(name, cfg.sextuple()).is_zero
 
+        ptqt = [condition_poly("P_T"), condition_poly("Q_T")]
+
         def ptqt_zero(cfg):  # a field has no zero divisors
-            return zero("P_T", cfg) or zero("Q_T", cfg)
+            return not all(eval_polys_on_sextuple(ptqt, cfg.sextuple()))
 
         def off_ptqt():
             while True:

@@ -20,7 +20,7 @@ from functools import cache
 
 from . import conditions
 from .certificates import CLAIMS, DEFAULT_TIMEOUT, FAILED, run_certificates
-from .conditions import CONDITION_NAMES, eval_condition
+from .conditions import CONDITION_NAMES, condition_poly, eval_polys_on_sextuple
 from .geometry import (SQ_DIST_NAMES, classify_hull, config_from_obj,
                        config_svg, config_to_obj, gen_cyclic, gen_folded,
                        gen_reflected, gen_tilted_kite, sextuple_from_obj,
@@ -62,13 +62,14 @@ def _load_config_or_sextuple(obj):
                    "distances qa..qf")
 
 
+def _condition_values(d):  # (name, exact value) of the 18, in one pass
+    return zip(CONDITION_NAMES, eval_polys_on_sextuple(
+        [condition_poly(name) for name in CONDITION_NAMES], d))
+
+
 def _condition_rows(d) -> list[dict]:
-    rows = []
-    for name in CONDITION_NAMES:
-        value = eval_condition(name, d)
-        rows.append({"condition": name, "value": str(value),
-                     "sign": value.sign()})
-    return rows
+    return [{"condition": name, "value": str(value), "sign": value.sign()}
+            for name, value in _condition_values(d)]
 
 
 def _verdicts(rows: list[dict]) -> list[str]:
@@ -190,8 +191,8 @@ def cmd_generate(args) -> int:
             cfg = gen_reflected(rng)
         d = cfg.sextuple()
         hull = classify_hull(cfg)
-        rows = [{"condition": name, "sign": eval_condition(name, d).sign()}
-                for name in CONDITION_NAMES]
+        rows = [{"condition": name, "sign": value.sign()}
+                for name, value in _condition_values(d)]
         record = {
             "family": args.family,
             "index": i,

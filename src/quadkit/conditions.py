@@ -1,6 +1,6 @@
 """The named condition polynomials in the six mutual distances a..f, their
-identity ledger, and exact evaluators on configurations, which factorize each
-scaled squared distance on its own and never a product of them.
+identity ledger, and one exact evaluator of many polynomials on a sextuple in
+one integer pass, which factorizes each entry on its own, never a product.
 
 Angle conventions (fixed once, to avoid vertex-order confusion): the
 supplementary-angle family R compares alpha = angle CDA with beta = angle CBA;
@@ -12,9 +12,10 @@ supplementary iff K = 0 and equal iff K_T = 0 (for positive distances).
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, isqrt, lcm, prod
 
 from .geometry import (DistSextuple, _rand_over, cayley_menger, cm_rows,
                        midpoint_distances)
@@ -116,72 +117,88 @@ def verify_all_identities() -> dict[str, bool]:
 # exact evaluation on squared-distance sextuples
 # ---------------------------------------------------------------------------
 
-_COMPILED: dict[int, tuple] = {}  # by id; each entry keeps its polynomial
-_LAST: tuple | None = None  # (sextuple, class roots) of the latest sextuple
+_COMPILED: dict[tuple[int, ...], tuple] = {}  # by ids; entries keep the polys
 
 
-def _compile(p: Polynomial) -> tuple:
-    """p's terms by the parity vector of their exponents: per class the odd
-    variables, den and e of the common denominator den * L**e (L is the
-    sextuple's `int_scale`) and per term its integer coefficient, its half
-    exponents above 0 and the power of L padding it to the top half degree."""
-    hit = _COMPILED.get(id(p))
-    if hit is not None:
+def _compile(polys: Sequence[Polynomial]) -> tuple:
+    """One table of the monomials in x = (*int_q, int_scale) that the
+    polynomials use, as steps (j, i): monomial k + 1 is monomial j times x_i.
+    Per polynomial: den and top of its denominator den * L**top, and per
+    parity class the x indices under its root and its terms as (integer
+    coefficient, monomial), padded by L to the top half degree."""
+    key = tuple(map(id, polys))
+    if (hit := _COMPILED.get(key)) is not None:
         return hit[1]
-    if p.vars != DIST_VARS:
-        raise ValueError("polynomial must live in the distance variables")
-    groups: dict[tuple[int, ...], list] = {}
-    for mono, c in p.terms.items():
-        groups.setdefault(tuple(i for i, e in enumerate(mono) if e & 1),
-                          []).append((mono, c, sum(e >> 1 for e in mono)))
-    classes = []
-    for odd, terms in groups.items():
-        den = lcm(*(c.denominator for _, c, _ in terms))
-        top = max(h for _, _, h in terms)
-        classes.append((odd, den, top + (len(odd) + 1) // 2, tuple(
-            (c.numerator * (den // c.denominator),
-             tuple((i, e >> 1) for i, e in enumerate(mono) if e > 1), top - h)
-            for mono, c, h in terms)))
+    steps, out = {}, []  # steps: (j, i) -> k + 1
+    for p in polys:
+        if p.vars != DIST_VARS:
+            raise ValueError("polynomial must live in the distance variables")
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        top = max(((sum(m) + 1) // 2 for m in p.terms), default=0)
+        classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for mono, c in p.terms.items():
+            odd = tuple(i for i, e in enumerate(mono) if e & 1)
+            j = 0  # a monomial's steps go up the variables in order
+            for i, h in enumerate((*(e >> 1 for e in mono),
+                                   top - (sum(mono) + 1) // 2)):
+                for _ in range(h):
+                    j = steps.setdefault((j, i), len(steps) + 1)
+            classes.setdefault(odd + (6,) * (len(odd) & 1), []).append(
+                (c.numerator * (den // c.denominator), j))
+        out.append((den, top, tuple(classes.items())))
     if len(_COMPILED) >= 256:
         del _COMPILED[next(iter(_COMPILED))]
-    _COMPILED[id(p)] = hit = (p, tuple(classes))
+    _COMPILED[key] = hit = (tuple(polys), (tuple(steps), tuple(out)))
     return hit[1]
 
 
-def eval_poly_on_sextuple(p: Polynomial, d: DistSextuple) -> RadicalValue:
-    """Evaluate a distance polynomial exactly at a = sqrt(qa) etc.
+def eval_polys_on_sextuple(polys: Sequence[Polynomial],
+                           d: DistSextuple) -> list[RadicalValue]:
+    """Evaluate distance polynomials exactly at a = sqrt(qa) etc.
 
-    With q_i = n_i / L for the sextuple's `int_q` n_i and `int_scale` L,
-    each parity class is an integer sum times sqrt(L**(len(odd) % 2) * prod
-    of its odd n_i) over a power of L: one square root per class, whose
-    radicand is factored entry by entry (`squarefree_decompose`).  Roots of
-    distinct squarefree integers are linearly independent over Q, so the
-    value's form is the term-wise one.  The class roots of the latest
-    sextuple (compared by value) are kept for reuse."""
-    global _LAST
-    if _LAST is None or _LAST[0] != d:
-        _LAST = (d, {})
-    roots, n, scale = _LAST[1], d.int_q, d.int_scale
-    coords: dict[int, Fraction] = {}
-    for odd, den, exp, rows in _compile(p):
-        acc = 0
-        for coeff, halves, pad in rows:
-            t = coeff * scale ** pad if pad else coeff
-            for i, h in halves:
-                t *= n[i] ** h
-            acc += t
-        if acc:
-            root = roots.get(odd)
-            if root is None:
-                factors = [n[i] for i in odd]
-                if len(odd) & 1:
-                    factors.append(scale)
-                root = roots[odd] = squarefree_decompose(*factors)
-            s, k = root
-            c = coords.pop(s, 0) + Fraction(acc * k, den * scale ** exp)
-            if c:
-                coords[s] = c
-    return RadicalValue(coords, _normalized=True)
+    With q_i = n_i / L (the sextuple's `int_q` and `int_scale`), a parity
+    class is an integer sum over a power of L times the root of its odd n_i
+    (and of L if they are odd in number).  A class radicand that is not a
+    square is the product of its entries' squarefree parts; each entry is
+    decomposed at most once per call and no product of them is factored.
+    Roots of distinct squarefree integers are linearly independent over Q,
+    so the value's form is the term-wise one."""
+    steps, compiled = _compile(polys)
+    x = (*d.int_q, d.int_scale)
+    vals = [1]
+    for j, i in steps:
+        vals.append(vals[j] * x[i])
+    roots, parts, out = {}, {}, []
+    for den, top, classes in compiled:
+        nums: dict[int, int] = {}
+        for odd, terms in classes:
+            if acc := sum([c * vals[j] for c, j in terms]):
+                if (root := roots.get(odd)) is None:
+                    root = roots[odd] = _class_root([x[i] for i in odd], parts)
+                nums[root[0]] = nums.get(root[0], 0) + acc * root[1]
+        den *= d.int_scale ** top
+        out.append(RadicalValue({s: Fraction(n, den) for s, n in nums.items()
+                                 if n}, _normalized=True))
+    return out
+
+
+def _class_root(entries: list[int], parts: dict) -> tuple[int, int]:
+    """(s, k), s squarefree, with prod(entries) = s * k**2 (`parts` memo)."""
+    r = isqrt(n := prod(entries))
+    if r * r == n:
+        return 1, r
+    s = k = 1
+    for m in entries:
+        if (part := parts.get(m)) is None:
+            part = parts[m] = squarefree_decompose(m)
+        g = gcd(s, part[0])
+        s, k = (s // g) * (part[0] // g), k * part[1] * g
+    return s, k
+
+
+def eval_poly_on_sextuple(p: Polynomial, d: DistSextuple) -> RadicalValue:
+    """`eval_polys_on_sextuple` of the one polynomial p."""
+    return eval_polys_on_sextuple((p,), d)[0]
 
 
 def eval_condition(id: str, d: DistSextuple) -> RadicalValue:

@@ -130,8 +130,8 @@ class DistSextuple:
         s = lcm(*(f.denominator for f in fs))
         return cls(tuple(f.numerator * (s // f.denominator) for f in fs), s)
 
-    qa, qb, qc, qd, qe, qf = (property(lambda d, i=i: d.as_tuple()[i])
-                              for i in range(6))
+    qa, qb, qc, qd, qe, qf = (property(
+        lambda d, i=i: Fraction(d.int_q[i], d.int_scale)) for i in range(6))
 
     def as_tuple(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(q, self.int_scale) for q in self.int_q)

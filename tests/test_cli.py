@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quadkit import certificates
+from quadkit import certificates, radicals
 from quadkit.cli import _condition_rows, _verdicts, main
 from quadkit.geometry import (cocircularity, config_to_obj, gen_cyclic,
                               gen_folded, gen_reflected, gen_tilted_kite,
@@ -325,12 +325,15 @@ def test_classify_rejects_bad_coordinate(tmp_path, capsys, bad):
             else f"squared distance {key} ") in err, err
 
 
-@pytest.mark.parametrize("hostile", [
+UNFACTORABLE = [
     # squared distances of up to 60 digits
     {"A": ["1e30", "0"], "B": ["1", "0"], "C": ["0", "1"], "D": ["2", "3"]},
     # qa is the product of two 16-digit primes
     {"qa": "3000000000000148000000000001369", "qb": "2", "qc": "3",
-     "qd": "5", "qe": "7", "qf": "11"}])
+     "qd": "5", "qe": "7", "qf": "11"}]
+
+
+@pytest.mark.parametrize("hostile", UNFACTORABLE)
 def test_classify_refuses_unfactorable_input_in_bounded_time(tmp_path, capsys,
                                                              hostile):
     def expire(signum, frame):
@@ -348,7 +351,7 @@ def test_classify_refuses_unfactorable_input_in_bounded_time(tmp_path, capsys,
     assert err.startswith("error:") and "Pollard rho" in err
 
 
-@pytest.mark.parametrize("oversized", [
+OVERSIZED = [
     # squared distances of about 2660 bits
     {"A": ["1e400", "0"], "B": ["1", "0"], "C": ["0", "1"], "D": ["2", "3"]},
     # 31-digit numerators over eight distinct 31-digit denominators
@@ -359,7 +362,10 @@ def test_classify_refuses_unfactorable_input_in_bounded_time(tmp_path, capsys,
      "C": ["2645751311064590590501615753639/3316624790355399849114932736671",
            "3605551275463989293119221267470/4123105625617660599821704512667"],
      "D": ["4358898943540673552236981983859/4795831523312719541597438064162",
-           "5196152422706632045595400574131/5567764362830021938826443066541"]}])
+           "5196152422706632045595400574131/5567764362830021938826443066541"]}]
+
+
+@pytest.mark.parametrize("oversized", OVERSIZED)
 def test_classify_refuses_oversized_input_at_once(tmp_path, capsys,
                                                   oversized):
     # a composite too long for Pollard rho is refused before rho starts
@@ -378,6 +384,11 @@ def test_classify_refuses_oversized_input_at_once(tmp_path, capsys,
     assert err.startswith("error:") and "Pollard rho takes at most" in err
 
 
+def _long_number_input(exponent):
+    return {"A": [exponent, "0"], "B": ["1", "0"], "C": ["0", "1"],
+            "D": ["2", "3"]}
+
+
 @pytest.mark.parametrize("exponent", ["1e2000", "1e4000", "1e10000",
                                       "1e10000000"])
 def test_long_number_input_exits_at_once(tmp_path, capsys, exponent):
@@ -385,8 +396,7 @@ def test_long_number_input_exits_at_once(tmp_path, capsys, exponent):
     # expansion of ten million digits runs before the refusal
     def expire(signum, frame):
         raise AssertionError("classify ran past 0.5 s")
-    path = _write(tmp_path, {"A": [exponent, "0"], "B": ["1", "0"],
-                             "C": ["0", "1"], "D": ["2", "3"]})
+    path = _write(tmp_path, _long_number_input(exponent))
     old = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 0.5)
     try:
@@ -489,3 +499,40 @@ def test_parser_reuse_leaks_no_values(tmp_path, capsys):
     assert capsys.readouterr().out != default
     assert main(["generate", "cyclic", "--count", "1", "--seed", "0"]) == 0
     assert capsys.readouterr().out == default
+
+
+def test_classify_factorizes_no_integer_it_did_not_before(tmp_path, capsys,
+                                                          monkeypatch):
+    # every integer that classify hands to factorize on the pinned inputs is
+    # one it handed over before all 18 conditions were evaluated in one
+    # pass, so no input it answered then is refused now.  On a hostile input
+    # so is every integer factorize finished on, and the last one it is
+    # handed is refused: a square entry is now decomposed without
+    # factorize, so the refusal may fall on the next entry.  The record
+    # holds digests, since the hostile integers reach 26576 bits.
+    recorded = json.loads((Path(__file__).parent /
+                           "classify_factorize_inputs.json").read_text())
+    seen = []
+    factorize = radicals.factorize
+
+    def recorder(n):
+        seen.append(n)
+        return factorize(n)
+
+    def digests(ns):
+        return {hashlib.sha256(hex(n).encode()).hexdigest()[:16] for n in ns}
+
+    monkeypatch.setattr(radicals, "factorize", recorder)
+    for i, obj in enumerate(_pinned_inputs()):
+        assert main(["classify", _write(tmp_path, obj, f"{i}.json"),
+                     "--format", "json"]) == 0
+    assert seen and digests(seen) <= set(recorded["pinned"])
+    for obj in UNFACTORABLE + OVERSIZED + [_long_number_input(e) for e in (
+            "1e2000", "1e4000", "1e10000", "1e10000000")]:
+        seen.clear()
+        assert main(["classify", _write(tmp_path, obj)]) == 1
+        assert digests(seen[:-1]) <= set(recorded["hostile"])
+        if seen:
+            with pytest.raises(ValueError):
+                factorize(seen[-1])
+    capsys.readouterr()

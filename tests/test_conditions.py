@@ -13,7 +13,8 @@ from quadkit import conditions, radicals
 from quadkit.certificates import _elim_targets
 from quadkit.conditions import (CONDITION_NAMES, DIST_VARS,
                                 condition_poly, eval_condition,
-                                eval_poly_on_sextuple, identity_poly,
+                                eval_poly_on_sextuple,
+                                eval_polys_on_sextuple, identity_poly,
                                 midpoint_v_formulas,
                                 run_self_check, verify_all_identities,
                                 verify_identity)
@@ -342,6 +343,22 @@ def test_parity_class_evaluator_matches_per_term_on_random_polys(p, d):
     assert value.sign() == ref.sign()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_odd_degree_polys(), min_size=1, max_size=4), _sextuples,
+       st.data())
+def test_many_polynomial_evaluator_matches_per_term(polys, d, data):
+    # one call over several polynomials, one of them twice and one zero,
+    # gives each one's term-wise value in order; no polynomials, no values
+    twice = data.draw(st.sampled_from(polys))
+    polys = data.draw(st.permutations(
+        polys + [Polynomial.zero(DIST_VARS), twice]))
+    values = eval_polys_on_sextuple(polys, d)
+    refs = [_eval_per_term(p, d) for p in polys]
+    assert values == refs
+    assert [v.sign() for v in values] == [r.sign() for r in refs]
+    assert eval_polys_on_sextuple([], d) == []
+
+
 def test_evaluator_rejects_foreign_variables():
     p = Polynomial.variable(VarSet(("x",)), "x")
     for _ in range(2):  # a rejected polynomial is never cached
@@ -400,24 +417,28 @@ def test_latest_sextuple_memo_gives_fresh_values():
             assert first.setdefault((d, i), value) == value
 
 
-def test_each_class_radicand_is_factored_once_per_sextuple(monkeypatch):
+def test_each_class_radicand_is_decomposed_at_most_once_per_call(
+        monkeypatch):
+    # within one call over many polynomials each entry of a class radicand
+    # is decomposed at most once, however many classes share it; no call
+    # reuses another's roots, and equal sextuples give equal values
     rng = random.Random(31)
     a, b = (random_quad(rng, span=1000, max_den=100).sextuple()
             for _ in range(2))
     polys = [condition_poly(n) for n in CONDITION_NAMES] + list(
         _CLOSED_FORM_SIDES)
-    eval_poly_on_sextuple(polys[0], b)
-    seen = []
+    calls = []
     decompose = conditions.squarefree_decompose
 
     def recorder(*factors):
-        seen.append(factors)
+        calls[-1].append(factors)
         return decompose(*factors)
 
     monkeypatch.setattr(conditions, "squarefree_decompose", recorder)
-    values = [eval_poly_on_sextuple(p, a) for p in polys]
-    assert seen and len(seen) == len(set(seen))
-    n_seen = len(seen)
-    assert [eval_poly_on_sextuple(p, DistSextuple.of(*a.as_tuple()))
-            for p in polys] == values
-    assert len(seen) == n_seen
+    values = {}
+    for d in (a, b, a, DistSextuple.of(*a.as_tuple())):
+        calls.append([])
+        got = eval_polys_on_sextuple(polys, d)
+        assert calls[-1] and len(calls[-1]) == len(set(calls[-1]))
+        assert values.setdefault(d, got) == got
+    assert calls[0] == calls[2] == calls[3] != calls[1]
