@@ -15,15 +15,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, count, permutations
 from math import prod
 from typing import Callable, Sequence
 
 from . import geometry
 from .conditions import (DIST_VARS, condition_poly, eval_condition,
-                         eval_polys_on_sextuple)
+                         eval_ints_on_sextuple, eval_polys_on_sextuple)
 from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, QuadConfig,
                        classify_hull, cocircularity, cross,
                        gen_collinear_inorder, gen_cyclic, gen_folded,
@@ -32,6 +31,7 @@ from .geometry import (DIST_PAIRS, TRIANGLES, HullClass, QuadConfig,
                        sq_dist)
 from .groebner import GroebnerTimeout, radical_membership
 from .poly import GREVLEX, Polynomial, VarSet, det
+from .radicals import RadicalValue
 
 CERTIFIED = "CERTIFIED"
 SUPPORTED = "SUPPORTED"
@@ -291,11 +291,10 @@ def _elim_targets() -> dict[str, tuple[_ElimTarget, Polynomial, Polynomial]]:
     heron = _heron_poly()
     gamma = _gamma_poly()
     abcd = a * b * c * d
-    four = Fraction(4)
-    t_ab_cd = four * (a * b + c * d) ** 2
-    t_bc_ad = four * (b * c + a * d) ** 2
-    t_ad_bc = four * (a * d - b * c) ** 2
-    t_ac_bd = four * (a * c - b * d) ** 2
+    t_ab_cd = 4 * (a * b + c * d) ** 2
+    t_bc_ad = 4 * (b * c + a * d) ** 2
+    t_ad_bc = 4 * (a * d - b * c) ** 2
+    t_ac_bd = 4 * (a * c - b * d) ** 2
     table: dict[str, tuple[_ElimTarget, Polynomial, Polynomial]] = {
         "N_ptolemy": (_ElimTarget("P", "N", 1), t_ab_cd, abcd * heron),
         "M_ptolemy": (_ElimTarget("P", "M", 1), t_bc_ad, abcd * heron),
@@ -361,9 +360,9 @@ def elimination_tier2(targets: Sequence[str], samples: int = 1000,
                       seed: int = 0) -> dict[str, dict]:
     """Exact sampling check of the closed forms: generates each family once
     and, per sample with A' != 0, compares A'(a..d) * value**power with
-    B'(a..d) in the radical field and checks the claimed sign; a target with
-    stated hull sets also checks the hull against the sets the sign tables
-    allow, and a signed R_T target -Gamma >= 0.  Returns per-target stats."""
+    B'(a..d) per radicand on integers and checks the claimed sign; a target
+    with stated hull sets also checks the hull against the sets the sign
+    tables allow, and a signed R_T target -Gamma >= 0.  Per-target stats."""
     table = _elim_targets()
     by_family: dict[str, list[str]] = {}
     results: dict[str, dict] = {}
@@ -383,32 +382,40 @@ def elimination_tier2(targets: Sequence[str], samples: int = 1000,
     for family, fam_targets in by_family.items():
         stream = _family_samples(family, random.Random(seed))
         polys = [side for t in fam_targets for side in table[t][1:]]
-        polys.append(_gamma_poly())
+        if any("gamma_sign_violations" in results[t] for t in fam_targets):
+            polys.append(_gamma_poly())
         while any(results[t]["samples"] < samples for t in fam_targets):
             cfg = next(stream)
-            s2 = cfg.int_scale ** 2
-            *sides, gamma = eval_polys_on_sextuple(polys, cfg.sextuple())
-            for t, lhs, rhs in zip(fam_targets, sides[::2], sides[1::2]):
+            crosses = dict(zip(TRIANGLES, map(cfg.cross, TRIANGLES)))
+            sides = eval_ints_on_sextuple(polys, cfg.sextuple())
+            for t, (ln, ld), (rn, rd) in zip(fam_targets, sides[::2],
+                                             sides[1::2]):
                 tgt, stats = table[t][0], results[t]
                 if stats["samples"] >= samples:
                     continue
-                if lhs.is_zero:
+                if not any(ln.values()):
                     stats["guard_skips"] += 1
                     continue
                 stats["samples"] += 1
-                value = prod(Fraction(cfg.cross(tri), s2)
-                             for tri in tgt.triangles)
-                if lhs * value ** tgt.power != rhs:
+                # value = vn / scale**(2k), sign(vn) the orientations' product
+                vn = prod(crosses[tri] for tri in tgt.triangles)
+                x = vn ** tgt.power * rd
+                y = cfg.int_scale ** (2 * len(tgt.triangles) * tgt.power) * ld
+                if any(ln.get(s, 0) * x != rn.get(s, 0) * y
+                       for s in ln.keys() | rn.keys()):
                     stats["mismatches"] += 1
-                if tgt.sign is not None and tgt.sign * value < 0:
+                if tgt.sign is not None and tgt.sign * vn < 0:
                     stats["sign_violations"] += 1
                 if t in allowed:
                     # a collinear hull has no boundary to check
-                    hull = classify_hull(cfg).boundary
-                    if hull and hull not in allowed[t][cfg.orient("ABC")]:
+                    signs = tuple((v > 0) - (v < 0) for v in crosses.values())
+                    hull = hull_from_signs(signs).boundary
+                    if hull and hull not in allowed[t][signs[0]]:
                         stats["hull_violations"] += 1
-                if "gamma_sign_violations" in stats and gamma.sign() > 0:
-                    stats["gamma_sign_violations"] += 1
+                if "gamma_sign_violations" in stats:  # over a den > 0
+                    gamma = {s: n for s, n in sides[-1][0].items() if n}
+                    stats["gamma_sign_violations"] += RadicalValue(
+                        gamma, _normalized=True).sign() > 0
     return results
 
 
@@ -468,8 +475,8 @@ def _parallelogram(rng: random.Random) -> QuadConfig:
 
 def _rhombus(rng: random.Random) -> QuadConfig:
     # p, q >= 1: four distinct points, legs (p, q) and (p, -q) of equal length
-    p, q = rng.randint(1, 9), rng.randint(1, 9)
-    x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+    p, q = geometry._randint(rng, 1, 9), geometry._randint(rng, 1, 9)
+    x, y = geometry._randint(rng, -5, 5), geometry._randint(rng, -5, 5)
     return QuadConfig(((x, y), (x + p, y + q), (x + 2 * p, y),
                        (x + p, y - q)), 1)
 
@@ -550,7 +557,7 @@ def _outside(rng: random.Random, h: int) -> int:
 def _inside(rng: random.Random, h: int) -> int:
     """A random point h * j / 10 strictly inside (0, 2h), never its
     midpoint h; h is a multiple of 10."""
-    j = rng.randint(1, 18)
+    j = geometry._randint(rng, 1, 18)
     return h * (j + (j >= 10)) // 10
 
 
@@ -641,11 +648,11 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
     between them.  The construction makes K_T vanish, so on the plane
     P_T * Q_T * R_T = K_T**2 = 0: with A and C on one side of BD the draw is
     cyclic (P_T * Q_T = 0), so an integer side test rejects it, and K_T and
-    then R_T are asserted once on the kite returned.
+    R_T are asserted in one evaluation on the kite returned.
     Directions are integer triples (x, y, w) for (x/w, y/w), w > 0, and A to
     D integer points over the scale cd * |den1 * den2|: no Fraction."""
     want = "convex4" if convex else "concave3"
-    randint = rng.randint
+    randint = partial(geometry._randint, rng)
     while True:
         tx, ty, tw = geometry._circle_ints(randint(1, 30), randint(1, 30))
         cn, cd = randint(1, 8), randint(1, 4)  # C = (cn/cd, 0)
@@ -670,9 +677,9 @@ def _ray_kite(rng: random.Random, convex: bool) -> QuadConfig:
         if (not cfg.distinct() or classify_hull(cfg).kind != want
                 or cfg.cross("BDA") * cfg.cross("BDC") >= 0):
             continue
-        d = cfg.sextuple()
-        for name in ("K_T", "R_T"):
-            if not eval_condition(name, d).is_zero:
+        for name, v in zip(("K_T", "R_T"), eval_polys_on_sextuple(
+                [condition_poly(n) for n in ("K_T", "R_T")], cfg.sextuple())):
+            if v:
                 raise geometry.GeometryError(f"ray-pair kite has {name} != 0")
         return cfg
 

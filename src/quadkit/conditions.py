@@ -152,9 +152,9 @@ def _compile(polys: Sequence[Polynomial]) -> tuple:
     return hit[1]
 
 
-def eval_polys_on_sextuple(polys: Sequence[Polynomial],
-                           d: DistSextuple) -> list[RadicalValue]:
-    """Evaluate distance polynomials exactly at a = sqrt(qa) etc.
+def eval_ints_on_sextuple(polys: Sequence[Polynomial], d: DistSextuple
+                          ) -> list[tuple[dict[int, int], int]]:
+    """Values at a = sqrt(qa) etc.: ({squarefree s: int, maybe 0}, den > 0).
 
     With q_i = n_i / L (the sextuple's `int_q` and `int_scale`), a parity
     class is an integer sum over a power of L times the root of its odd n_i
@@ -176,10 +176,16 @@ def eval_polys_on_sextuple(polys: Sequence[Polynomial],
                 if (root := roots.get(odd)) is None:
                     root = roots[odd] = _class_root([x[i] for i in odd], parts)
                 nums[root[0]] = nums.get(root[0], 0) + acc * root[1]
-        den *= d.int_scale ** top
-        out.append(RadicalValue({s: Fraction(n, den) for s, n in nums.items()
-                                 if n}, _normalized=True))
+        out.append((nums, den * d.int_scale ** top))
     return out
+
+
+def eval_polys_on_sextuple(polys: Sequence[Polynomial],
+                           d: DistSextuple) -> list[RadicalValue]:
+    """`eval_ints_on_sextuple` with one `Fraction` per nonzero radicand."""
+    return [RadicalValue({s: Fraction(n, den) for s, n in nums.items() if n},
+                         _normalized=True)
+            for nums, den in eval_ints_on_sextuple(polys, d)]
 
 
 def _class_root(entries: list[int], parts: dict) -> tuple[int, int]:

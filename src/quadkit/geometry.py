@@ -347,11 +347,20 @@ def _rng(seed_or_rng) -> random.Random:
     return random.Random(seed_or_rng)
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """`rng.randint(lo, hi)` by its CPython 3.10-3.13 rejection loop."""
+    if (size := hi - lo + 1) < 1:  # getrandbits(0) would loop for ever
+        raise GeometryError(f"empty range [{lo}, {hi}]")
+    while (n := rng.getrandbits(size.bit_length())) >= size:
+        pass
+    return lo + n
+
+
 def _rand_over(rng: random.Random, lo: int, hi: int, max_den: int,
                scale: int) -> int:
     """A draw n/d, n in [lo, hi] and d in [1, max_den], as the integer
     n * (scale // d) over `scale`, which every such d must divide."""
-    return rng.randint(lo, hi) * (scale // rng.randint(1, max_den))
+    return _randint(rng, lo, hi) * (scale // _randint(rng, 1, max_den))
 
 
 def _circle_ints(n: int, d: int) -> tuple[int, int, int]:
@@ -385,7 +394,7 @@ def gen_collinear_inorder(seed_or_rng) -> QuadConfig:
         ms.add(_rand_over(rng, -20, 20, 8, 840))
     # random rational direction keeps the family from being axis-special; a
     # unit direction sends distinct parameters to distinct points
-    x, y, w = _circle_ints(rng.randint(-5, 5), rng.randint(1, 4))
+    x, y, w = _circle_ints(_randint(rng, -5, 5), _randint(rng, 1, 4))
     ox = _rand_over(rng, -5, 5, 4, 12) * 70 * w
     oy = _rand_over(rng, -5, 5, 4, 12) * 70 * w
     return QuadConfig(tuple((ox + m * x, oy + m * y) for m in sorted(ms)),
@@ -446,9 +455,7 @@ def _draw_quad(rng: random.Random, span: int, max_den: int
                ) -> tuple[tuple[tuple[int, int], ...], int]:
     """The first distinct quad of draws n/d for x_A, y_A, ..., y_D, as its
     integer points n * (L // d) and L, the lcm of the drawn denominators.
-    Each value is drawn as `rng.randint` draws it on CPython 3.10-3.13, by
-    its rejection loop written out: `getrandbits(size.bit_length())` until
-    the draw is below the range's size, so the stream is randint's."""
+    Each value is drawn by `_randint`'s loop, inlined: randint's stream."""
     if span < 1:  # span 0 draws only the origin: never four distinct points
         raise GeometryError(f"span must be >= 1, not {span}")
     if max_den < 1:  # getrandbits(0) is always 0: the loop would never end

@@ -6,6 +6,7 @@ import random
 import signal
 from fractions import Fraction
 from itertools import product
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +21,8 @@ from quadkit.certificates import (CERTIFIED, CLAIMS, FAILED, INCONCLUSIVE,
                                   ELIM_TARGETS, _hulls_agree, _status, _tally,
                                   oracle_hull, ptolemy_scheme, r_scheme,
                                   run_certificates, t_scheme)
-from quadkit.conditions import DIST_VARS, condition_poly
+from quadkit.conditions import (DIST_VARS, condition_poly,
+                                eval_polys_on_sextuple)
 from quadkit.geometry import (TRIANGLES, HullClass, Point, QuadConfig,
                               classify_hull, cocircularity, config_to_obj,
                               hull_from_signs, random_quad)
@@ -269,6 +271,105 @@ def test_repeated_elimination_target_draws_its_samples(monkeypatch):
         assert list(stats) == ["M_T"] and stats["M_T"]["samples"] == 10
         draws.append(calls)
     assert draws[0] == draws[1] >= 10
+
+
+def _elimination_tier2_by_fractions(targets, samples, seed):
+    """`certificates.elimination_tier2` as it read on `Fraction`s and
+    `RadicalValue`s: the reference its integer comparison must repeat."""
+    table = certificates._elim_targets()
+    by_family, results, allowed = {}, {}, {}
+    for t in dict.fromkeys(targets):
+        tgt = table[t][0]
+        by_family.setdefault(certificates._scheme(tgt.constraint).family,
+                             []).append(t)
+        results[t] = {"samples": 0, "mismatches": 0, "sign_violations": 0,
+                      "guard_skips": 0}
+        if tgt.hulls is not None:
+            allowed[t] = certificates._hull_sets(tgt)
+            results[t]["hull_violations"] = 0
+        if tgt.constraint == "R_T" and tgt.sign is not None:
+            results[t]["gamma_sign_violations"] = 0
+    for family, fam_targets in by_family.items():
+        stream = certificates._family_samples(family, random.Random(seed))
+        polys = [side for t in fam_targets for side in table[t][1:]]
+        polys.append(certificates._gamma_poly())
+        while any(results[t]["samples"] < samples for t in fam_targets):
+            cfg = next(stream)
+            s2 = cfg.int_scale ** 2
+            *sides, gamma = eval_polys_on_sextuple(polys, cfg.sextuple())
+            for t, lhs, rhs in zip(fam_targets, sides[::2], sides[1::2]):
+                tgt, stats = table[t][0], results[t]
+                if stats["samples"] >= samples:
+                    continue
+                if lhs.is_zero:
+                    stats["guard_skips"] += 1
+                    continue
+                stats["samples"] += 1
+                value = prod(Fraction(cfg.cross(tri), s2)
+                             for tri in tgt.triangles)
+                if lhs * value ** tgt.power != rhs:
+                    stats["mismatches"] += 1
+                if tgt.sign is not None and tgt.sign * value < 0:
+                    stats["sign_violations"] += 1
+                if t in allowed:
+                    hull = classify_hull(cfg).boundary
+                    if hull and hull not in allowed[t][cfg.orient("ABC")]:
+                        stats["hull_violations"] += 1
+                if "gamma_sign_violations" in stats and gamma.sign() > 0:
+                    stats["gamma_sign_violations"] += 1
+    return results
+
+
+def test_elimination_tier2_repeats_the_fraction_reference():
+    # seed 38's kite stream has a guard skip (its third kite has ad = bc)
+    for seed in (0, 7, 38, 41):
+        assert (elimination_tier2(ELIM_TARGETS, 40, seed=seed)
+                == _elimination_tier2_by_fractions(ELIM_TARGETS, 40, seed)), \
+            seed
+
+
+def _replaced_target(monkeypatch, name, **change):
+    """Monkeypatch `_elim_targets` with one row's target or sides changed:
+    `lhs` and `rhs` replace A' and B', anything else a field of the
+    target."""
+    table = dict(certificates._elim_targets())
+    tgt, lhs, rhs = table[name]
+    lhs, rhs = change.pop("lhs", lhs), change.pop("rhs", rhs)
+    table[name] = (dataclasses.replace(tgt, **change), lhs, rhs)
+    monkeypatch.setattr(certificates, "_elim_targets", lambda: table)
+
+
+def test_flipped_closed_form_mismatches_on_every_sample(monkeypatch):
+    rhs = certificates._elim_targets()["N_R"][2]
+    _replaced_target(monkeypatch, "N_R", rhs=-1 * rhs)
+    cert = cert_elimination_formula("N_R", seed=1, timeout=0, samples=30)
+    assert cert.status == FAILED
+    assert cert.tier2["mismatches"] == cert.tier2["samples"] == 30
+    assert cert.tier2["sign_violations"] == cert.tier2["hull_violations"] == 0
+    assert (elimination_tier2(["N_R"], 30, seed=1)
+            == _elimination_tier2_by_fractions(["N_R"], 30, 1))
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_a_root_on_one_side_only_is_a_mismatch(monkeypatch, side):
+    # A' or B' plus the distance e, a root the other side lacks wherever qe
+    # is not a square: the comparison must read every radicand of both sides
+    sides = dict(zip(("lhs", "rhs"), certificates._elim_targets()["N_R"][1:]))
+    e = Polynomial.variable(DIST_VARS, "e")
+    _replaced_target(monkeypatch, "N_R", **{side: sides[side] + e})
+    stats = elimination_tier2(["N_R"], 30, seed=1)["N_R"]
+    assert stats["mismatches"] == stats["samples"] == 30
+    assert stats == _elimination_tier2_by_fractions(["N_R"], 30, 1)["N_R"]
+
+
+def test_flipped_claimed_sign_is_a_sign_violation(monkeypatch):
+    _replaced_target(monkeypatch, "M_T", sign=-1)
+    stats = elimination_tier2(["M_T"], 30, seed=1)["M_T"]
+    assert stats["sign_violations"] == stats["samples"] == 30
+    assert stats["mismatches"] == 0
+    assert stats == _elimination_tier2_by_fractions(["M_T"], 30, 1)["M_T"]
+    cert = cert_elimination_formula("M_T", seed=1, timeout=0, samples=30)
+    assert cert.status == FAILED
 
 
 def test_elimination_unknown_target():

@@ -13,7 +13,7 @@ from quadkit import conditions, radicals
 from quadkit.certificates import _elim_targets
 from quadkit.conditions import (CONDITION_NAMES, DIST_VARS,
                                 condition_poly, eval_condition,
-                                eval_poly_on_sextuple,
+                                eval_ints_on_sextuple, eval_poly_on_sextuple,
                                 eval_polys_on_sextuple, identity_poly,
                                 midpoint_v_formulas,
                                 run_self_check, verify_all_identities,
@@ -356,6 +356,11 @@ def test_many_polynomial_evaluator_matches_per_term(polys, d, data):
     refs = [_eval_per_term(p, d) for p in polys]
     assert values == refs
     assert [v.sign() for v in values] == [r.sign() for r in refs]
+    # the integer form: each value's numerators over one positive den
+    ints = eval_ints_on_sextuple(polys, d)
+    assert all(den > 0 for _, den in ints)
+    assert [{s: Fraction(n, den) for s, n in nums.items() if n}
+            for nums, den in ints] == [r.coords for r in refs]
     assert eval_polys_on_sextuple([], d) == []
 
 

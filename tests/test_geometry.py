@@ -17,7 +17,8 @@ from quadkit import certificates, conditions, geometry
 from quadkit.certificates import (_degenerate_families, _hulls_agree,
                                   oracle_hull)
 from quadkit.cli import main
-from quadkit.conditions import eval_condition
+from quadkit.conditions import (CONDITION_NAMES, condition_poly,
+                                eval_condition, eval_polys_on_sextuple)
 from quadkit.geometry import (DistSextuple, GeometryError, HullClass,
                               HullTableError, Point, QuadConfig, TRIANGLES,
                               cayley_menger, classify_hull,
@@ -29,6 +30,7 @@ from quadkit.geometry import (DistSextuple, GeometryError, HullClass,
                               reflect_over_line, same_cycle,
                               sextuple_from_obj, sextuple_to_obj)
 from quadkit.poly import Polynomial, VarSet, det
+from quadkit.radicals import RadicalValue
 
 SQUARE = QuadConfig.of((0, 0), (1, 0), (1, 1), (0, 1))
 RECT34 = QuadConfig.of((0, 0), (4, 0), (4, 3), (0, 3))
@@ -649,22 +651,31 @@ class _Runaway(Exception):
 def test_broken_construction_raises_on_first_accepted_draw(monkeypatch, make,
                                                            condition):
     # the family's condition is stubbed never to vanish (the ray kite's
-    # other asserted condition still sees the true value): the generator
-    # must raise on the first draw its integer tests accept, and not draw
-    # again; the sentinel after 50 evaluations stops a generator that would
-    # loop forever
+    # other asserted condition, evaluated in the same batch, still sees the
+    # true value): the generator must raise on the first draw its integer
+    # tests accept, and not draw again; the sentinel after 50 evaluations
+    # stops a generator that would loop forever
     calls = []
+    names = {id(condition_poly(n)): n for n in CONDITION_NAMES}
 
-    def stub(name, d):
+    def broken(name):
         calls.append(name)
         if len(calls) > 50:
             raise _Runaway(calls.count(condition))
-        if name == condition:
+        return name == condition
+
+    def stub(name, d):
+        if broken(name):
             return SimpleNamespace(is_zero=False)
         return eval_condition(name, d)
 
+    def stub_batch(polys, d):
+        return [RadicalValue.from_rational(1) if broken(names.get(id(p)))
+                else v for p, v in zip(polys, eval_polys_on_sextuple(polys, d))]
+
     monkeypatch.setattr(conditions, "eval_condition", stub)
     monkeypatch.setattr(certificates, "eval_condition", stub)
+    monkeypatch.setattr(certificates, "eval_polys_on_sextuple", stub_batch)
     with pytest.raises(GeometryError, match=f"{condition} != 0"):
         make(random.Random(1))
     assert calls.count(condition) == 1
@@ -754,6 +765,27 @@ def test_draw_quad_repeats_the_randint_stream():
                     == _draw_quad_by_randint(ref, span, max_den)), \
                 (span, max_den)
         assert ours.getrandbits(64) == ref.getrandbits(64), (span, max_den)
+
+
+def test_randint_repeats_rng_randint():
+    # widths 1 to 2**40 + 1 cross the powers of two where the bit length of
+    # the range's size changes; randint(1, 1) still takes a bit per draw
+    bounds = [(1, 1), (0, 1), (-5, 5), (1, 4), (1, 8), (1, 9), (-40, 40),
+              (1, 30), (-8, 8), (7, 7 + 2 ** 40)]
+    bounds += [(lo, lo + w - 1) for w in (2, 3, 4, 5, 15, 16, 17, 63, 64, 65)
+               for lo in (-3, 0, 2)]
+    for seed in range(3):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            for lo, hi in bounds:
+                assert geometry._randint(ours, lo, hi) == ref.randint(lo, hi)
+        assert ours.getrandbits(64) == ref.getrandbits(64), seed
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 0), (5, -5)])
+def test_randint_refuses_an_empty_range(lo, hi):
+    with pytest.raises(GeometryError, match="empty range"):
+        geometry._randint(random.Random(1), lo, hi)
 
 
 def _refused_at_once(match, **bounds):
